@@ -15,14 +15,8 @@ import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, OrthosegError
-
-# Upper bound on scratch elements materialized by a single conv/pool chunk
-# (32M float32 = 128 MB); keeps the 512x512 benchmark forward inside a
-# few GB of RAM on CPU.
-_CHUNK_ELEMS = 32 * 1024 * 1024
 
 _grad_enabled = True
 
@@ -138,19 +132,21 @@ def _conv_geometry(kh, kw, dilation, padding, h, w):
     wo = w + 2 * pw - ekw + 1
     if ho < 1 or wo < 1:
         raise ConfigurationError("kernel effective extent exceeds padded input")
-    return ekh, ekw, ph, pw, ho, wo
-
-
-def _row_chunks(ho, per_row):
-    step = max(1, _CHUNK_ELEMS // max(1, per_row))
-    for h0 in range(0, ho, step):
-        yield h0, min(ho, h0 + step)
+    return ph, pw, ho, wo
 
 
 def conv2d(x, weights, bias, dilation=1, padding="same"):
     """Stride-1 2-D convolution (cross-correlation) with dilation.
 
     x: (N,Ci,H,W); weights: (Co,Ci,kh,kw); bias: (Co,).
+
+    Each image is zero-padded once (plus a spare zero row) into a flat
+    (Ci, Hp*Wp) buffer; output pixel (y, x) is flat column y*Wp + x, so tap
+    (i, j) is one GEMM on the view ``xp[:, off:off+Ho*Wp]``, off = i*d*Wp + j*d
+    (MEC-style shifted matrices, no im2col copy).  The Wp - Wo wrap-around
+    columns per row are sliced off; the backward reuses the same views and
+    needs those columns of the flat output gradient to be exactly zero.
+    Gradients of tensors that do not require one are returned as None.
     """
     n, ci, h, w = x.data.shape
     co, ciw, kh, kw = weights.data.shape
@@ -160,36 +156,37 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
         raise ConfigurationError(f"bias shape {bias.data.shape} != ({co},)")
     if dilation < 1:
         raise ConfigurationError("dilation must be >= 1")
-    ekh, ekw, ph, pw, ho, wo = _conv_geometry(kh, kw, dilation, padding, h, w)
+    ph, pw, ho, wo = _conv_geometry(kh, kw, dilation, padding, h, w)
+    hp, wp = h + 2 * ph + 1, w + 2 * pw
+    length = ho * wp
+    taps = [(i, j, i * dilation * wp + j * dilation) for i in range(kh) for j in range(kw)]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    wmat = weights.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw))).reshape(n, ci, hp * wp)
+    wtap = np.ascontiguousarray(weights.data.transpose(2, 3, 0, 1))  # (kh,kw,Co,Ci)
     out = np.empty((n, co, ho, wo), dtype=x.data.dtype)
-    per_row = n * ci * kh * kw * wo
-    for h0, h1 in _row_chunks(ho, per_row):
-        sw = sliding_window_view(xp[:, :, h0 : h1 - 1 + ekh, :], (ekh, ekw), axis=(2, 3))
-        taps = sw[:, :, :, :, ::dilation, ::dilation]  # (N,Ci,hc,Wo,kh,kw)
-        # (N,hc,Wo,Co)
-        res = np.tensordot(taps, wmat, axes=([1, 4, 5], [1, 2, 3]))
-        out[:, :, h0:h1, :] = np.moveaxis(res, 3, 1)
-    out += bias.data.reshape(1, co, 1, 1)
+    acc, tmp = np.empty((2, co, length), dtype=x.data.dtype)
+    for b in range(n):
+        np.matmul(wtap[0, 0], xp[b, :, :length], out=acc)
+        for i, j, off in taps[1:]:
+            acc += np.matmul(wtap[i, j], xp[b, :, off : off + length], out=tmp)
+        np.add(acc.reshape(co, ho, wp)[:, :, :wo], bias.data.reshape(co, 1, 1), out=out[b])
 
     def bwd(g):
-        gb = g.sum(axis=(0, 2, 3)).astype(bias.data.dtype)
-        gw = np.zeros_like(weights.data)
-        gx_pad = np.zeros_like(xp)
-        for h0, h1 in _row_chunks(ho, per_row):
-            sw = sliding_window_view(xp[:, :, h0 : h1 - 1 + ekh, :], (ekh, ekw), axis=(2, 3))
-            taps = sw[:, :, :, :, ::dilation, ::dilation]
-            gc = g[:, :, h0:h1, :]
-            gw += np.tensordot(gc, taps, axes=([0, 2, 3], [0, 2, 3]))
-            # (N,hc,Wo,Ci,kh,kw)
-            gcol = np.tensordot(gc, wmat, axes=([1], [0]))
-            hc = h1 - h0
-            for i in range(kh):
-                for j in range(kw):
-                    gx_pad[:, :, h0 + i * dilation : h0 + i * dilation + hc, j * dilation : j * dilation + wo] += np.moveaxis(gcol[:, :, :, :, i, j], 3, 1)
-        gx = gx_pad[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else gx_pad
+        gb = g.sum(axis=(0, 2, 3)).astype(bias.data.dtype) if bias.requires_grad else None
+        gw = np.zeros_like(wtap) if weights.requires_grad else None
+        gx = np.zeros_like(xp) if x.requires_grad else None
+        gflat = np.zeros((co, ho, wp), dtype=g.dtype)
+        tmp = np.empty((ci, length), dtype=x.data.dtype)
+        for b in range(n):
+            gflat[:, :, :wo] = g[b]
+            gf = gflat.reshape(co, length)
+            for i, j, off in taps:
+                if gw is not None:
+                    gw[i, j] += gf @ xp[b, :, off : off + length].T
+                if gx is not None:
+                    gx[b, :, off : off + length] += np.matmul(wtap[i, j].T, gf, out=tmp)
+        gw = None if gw is None else gw.transpose(2, 3, 0, 1)
+        gx = None if gx is None else gx.reshape(n, ci, hp, wp)[:, :, ph : ph + h, pw : pw + w]
         return gx, gw, gb
 
     return _node(out, (x, weights, bias), bwd)
@@ -240,25 +237,39 @@ def _pool_geometry(h, w, k, stride, padding):
 
 def avg_pool(x, k, stride=1, padding="valid"):
     """k x k mean pooling.  With ``same`` padding the divisor is the count of
-    in-bounds taps, so a constant input stays constant at the borders."""
+    in-bounds taps, so a constant input stays constant at the borders.
+
+    The window sum is separable (1-D box sums along H, then W; transposed in
+    the backward), and the divisor is that box sum of the padded ones mask.
+    """
     n, c, h, w = x.data.shape
     ho, wo, ph0, ph1, pw0, pw1 = _pool_geometry(h, w, k, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-    ones = np.pad(np.ones((h, w), dtype=x.data.dtype), ((ph0, ph1), (pw0, pw1)))
-    csw = sliding_window_view(ones, (k, k))[::stride, ::stride]
-    counts = csw.sum(axis=(-1, -2))  # (Ho,Wo)
-    sw = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = sw.sum(axis=(-1, -2)) / counts
+    hspan, wspan = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+    pads = ((ph0, ph1), (pw0, pw1))
+
+    def box(a):
+        rows = a[..., 0:hspan:stride, :].copy()
+        for i in range(1, k):
+            rows += a[..., i : i + hspan : stride, :]
+        total = rows[..., 0:wspan:stride].copy()
+        for j in range(1, k):
+            total += rows[..., j : j + wspan : stride]
+        return total
+
+    counts = box(np.pad(np.ones((h, w), dtype=x.data.dtype), pads))
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + pads)
+    out = box(xp)
+    out /= counts
 
     def bwd(g):
         gdiv = g / counts
-        gx_pad = np.zeros_like(xp)
+        grows = np.zeros((n, c, ho, xp.shape[3]), dtype=g.dtype)
+        for j in range(k):
+            grows[..., j : j + wspan : stride] += gdiv
+        gx_pad = np.zeros(xp.shape, dtype=g.dtype)
         for i in range(k):
-            for j in range(k):
-                gx_pad[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gdiv
-        if ph0 or ph1 or pw0 or pw1:
-            return (gx_pad[:, :, ph0 : ph0 + h, pw0 : pw0 + w],)
-        return (gx_pad,)
+            gx_pad[..., i : i + hspan : stride, :] += grows
+        return (gx_pad[..., ph0 : ph0 + h, pw0 : pw0 + w],)
 
     return _node(out, (x,), bwd)
 

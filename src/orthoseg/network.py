@@ -299,11 +299,14 @@ class Model:
         def noise(x, region, channels=None):
             return ad.dmgn(x, rates.rate(region, channels), training, rng)
 
-        # full-input pyramid for the per-block raw-input feeds
+        # per-block raw-input feeds: the input pyramid and its 5x5 high-pass
+        # sub-maps, built once per forward since they depend only on the input
         net_input = ad.concat_channels([primary, auxiliary])
         pyramid = {1: net_input}
         for lvl in range(1, e):
             pyramid[1 << lvl] = ad.avg_pool(pyramid[1 << (lvl - 1)], 2, stride=2, padding="valid")
+        sub_maps = {lvl: ad.sub(inp, ad.avg_pool(inp, 5, stride=1, padding="same"))
+                    for lvl, inp in pyramid.items()}
 
         def encode(side, filters, x):
             skips = []
@@ -338,8 +341,7 @@ class Model:
             if j > 1:
                 f_up = ad.stop_gradient(f_up)
             d_up = ad.upsample2(decis)
-            scaled_input = pyramid[1 << (e - j)]
-            sub_map = ad.sub(scaled_input, ad.avg_pool(scaled_input, 5, stride=1, padding="same"))
+            scaled_input, sub_map = pyramid[1 << (e - j)], sub_maps[1 << (e - j)]
             skip_p, skip_a = p_skips[e - j], a_skips[e - j]
             cat = ad.concat_channels([
                 noise(f_up, "decoder", f_up.data.shape[1]),
@@ -364,12 +366,10 @@ class Model:
             f_gated = ad.stop_gradient(feats)
             if taps is not None:
                 taps[f"residual.block{r}.features_gated"] = f_gated
-            scaled_input = pyramid[1]
-            sub_map = ad.sub(scaled_input, ad.avg_pool(scaled_input, 5, stride=1, padding="same"))
             cat = ad.concat_channels([
                 ad.dmgn(f_gated, rates.rate("residual"), training, rng),
-                scaled_input,
-                sub_map,
+                pyramid[1],
+                sub_maps[1],
             ])
             h1 = ad.elu(conv(cat, f"residual.block{r}.conv1", cfg.decoder_dilation))
             h1 = ad.dmgn(h1, rates.rate("residual"), training, rng)
@@ -404,14 +404,3 @@ class Model:
 
         return ad.softmax_channels(logits)
 
-
-def build_network(config, seed):
-    return Model.build(config, seed)
-
-
-def count_params(params):
-    return params.count()
-
-
-def set_trainable(params, pattern, flag):
-    return params.set_trainable(pattern, flag)

@@ -37,6 +37,16 @@ def conv_oracle(x, w, b, dilation, padding):
     return out
 
 
+def linear_grad(f, shape, g):
+    """Gradient of sum(g * f(v)) for f linear in v: one oracle call per basis vector."""
+    grad = np.zeros(shape)
+    for idx in np.ndindex(*shape):
+        basis = np.zeros(shape)
+        basis[idx] = 1.0
+        grad[idx] = (g * f(basis)).sum()
+    return grad
+
+
 class TestConv2d:
     def test_ones_counting(self):
         x = t64(np.ones((1, 1, 3, 3)))
@@ -67,12 +77,49 @@ class TestConv2d:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 3, 6, 7))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        for dil, pad in [(1, "same"), (2, "same"), (1, "valid")]:
-            out = ad.conv2d(t64(x), t64(w), t64(b), dilation=dil, padding=pad).data
-            np.testing.assert_allclose(out, conv_oracle(x, w, b, dil, pad), rtol=1e-12, atol=1e-12)
+        cases = [
+            ((2, 3, 6, 7), 3, 1, "same"),
+            ((2, 3, 6, 7), 3, 2, "same"),
+            ((2, 3, 6, 7), 3, 1, "valid"),
+            ((1, 2, 5, 9), 3, 3, "same"),  # H != W: wrap-around columns
+            ((1, 2, 4, 5), 3, 11, "same"),  # off-centre taps read only padding
+            ((2, 3, 5, 6), 1, 1, "same"),  # 1x1 kernel
+            ((2, 3, 7, 6), 3, 2, "valid"),
+        ]
+        for shape, k, dil, pad in cases:
+            x = rng.normal(size=shape)
+            w = rng.normal(size=(2, shape[1], k, k))
+            b = rng.normal(size=2)
+            xt, wt, bt = t64(x, rg=True), t64(w, rg=True), t64(b, rg=True)
+            out = ad.conv2d(xt, wt, bt, dilation=dil, padding=pad)
+            expected = conv_oracle(x, w, b, dil, pad)
+            np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+            g = rng.normal(size=expected.shape)
+            ad.backward(ad.tsum(ad.mul(out, t64(g))))
+            zb = np.zeros(2)
+            np.testing.assert_allclose(
+                xt.grad, linear_grad(lambda v: conv_oracle(v, w, zb, dil, pad), x.shape, g), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                wt.grad, linear_grad(lambda v: conv_oracle(x, v, zb, dil, pad), w.shape, g), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+
+    def test_pruned_gradients_leave_others_bitwise_equal(self):
+        rng = np.random.default_rng(3)
+        x, w1, w2 = rng.normal(size=(1, 2, 5, 6)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(2, 3, 3, 3))
+        b1, b2 = rng.normal(size=3), rng.normal(size=2)
+
+        def run(prune):
+            xt, w1t = t64(x, rg=not prune), t64(w1, rg=not prune)
+            rest = [t64(a, rg=True) for a in (b1, w2, b2)]
+            h = ad.conv2d(xt, w1t, rest[0], dilation=2)
+            ad.backward(ad.tsum(ad.conv2d(ad.elu(h), rest[1], rest[2])))
+            return h, [t.grad for t in rest]
+
+        h, pruned = run(prune=True)
+        gx, gw, gb = h._backward(np.ones_like(h.data))
+        assert gx is None and gw is None and gb is not None
+        for a, full in zip(pruned, run(prune=False)[1]):
+            np.testing.assert_array_equal(a, full)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -141,9 +188,16 @@ class TestAvgPool:
 
     def test_matches_edge_corrected_oracle(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(1, 1, 9, 9))
-        out = ad.avg_pool(t64(x), 5, stride=1, padding="same").data
-        np.testing.assert_allclose(out, avg_pool_oracle(x, 5, 1, "same"), rtol=1e-12, atol=1e-12)
+        for shape, k, stride in [((1, 1, 9, 9), 5, 1), ((2, 2, 7, 8), 3, 2)]:
+            x = rng.normal(size=shape)
+            xt = t64(x, rg=True)
+            out = ad.avg_pool(xt, k, stride=stride, padding="same")
+            expected = avg_pool_oracle(x, k, stride, "same")
+            np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+            g = rng.normal(size=expected.shape)
+            ad.backward(ad.tsum(ad.mul(out, t64(g))))
+            np.testing.assert_allclose(
+                xt.grad, linear_grad(lambda v: avg_pool_oracle(v, k, stride, "same"), shape, g), rtol=1e-12, atol=1e-12)
 
     def test_stride2_downsample(self):
         rng = np.random.default_rng(5)
