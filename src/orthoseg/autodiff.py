@@ -12,6 +12,7 @@ verification (``finite_diff_check``).
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +136,25 @@ def _conv_geometry(kh, kw, dilation, padding, h, w):
     return ph, pw, ho, wo
 
 
+# OpenBLAS runs a GEMM of fewer than _BLAS_SERIAL_MACS multiply-adds on the
+# calling thread and hands larger ones to its worker threads, which then
+# spin for a while waiting for the next call.  A worker saves microseconds
+# on a small product but costs milliseconds whenever another process holds
+# its core, so conv taps under _SMALL_TAP_MACS are split into column blocks
+# that stay on the calling thread.
+_BLAS_SERIAL_MACS = 2**19
+_SMALL_TAP_MACS = 2**22
+
+
+def _column_blocks(rows_by_depth, length):
+    """Column ranges for a conv tap's (rows x depth) @ (depth x length)
+    products: one range for a large tap, serial-sized blocks for a small one."""
+    if rows_by_depth * length >= _SMALL_TAP_MACS:
+        return [(0, length)]
+    step = max(1, (_BLAS_SERIAL_MACS - 1) // rows_by_depth)
+    return [(c0, min(length, c0 + step)) for c0 in range(0, length, step)]
+
+
 def conv2d(x, weights, bias, dilation=1, padding="same"):
     """Stride-1 2-D convolution (cross-correlation) with dilation.
 
@@ -146,6 +166,7 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
     (MEC-style shifted matrices, no im2col copy).  The Wp - Wo wrap-around
     columns per row are sliced off; the backward reuses the same views and
     needs those columns of the flat output gradient to be exactly zero.
+    A small conv runs each tap's GEMMs over column blocks (``_column_blocks``).
     Gradients of tensors that do not require one are returned as None.
     """
     n, ci, h, w = x.data.shape
@@ -165,10 +186,13 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
     wtap = np.ascontiguousarray(weights.data.transpose(2, 3, 0, 1))  # (kh,kw,Co,Ci)
     out = np.empty((n, co, ho, wo), dtype=x.data.dtype)
     acc, tmp = np.empty((2, co, length), dtype=x.data.dtype)
+    blocks = _column_blocks(co * ci, length)
     for b in range(n):
-        np.matmul(wtap[0, 0], xp[b, :, :length], out=acc)
-        for i, j, off in taps[1:]:
-            acc += np.matmul(wtap[i, j], xp[b, :, off : off + length], out=tmp)
+        for c0, c1 in blocks:
+            a, t = acc[:, c0:c1], tmp[:, c0:c1]
+            np.matmul(wtap[0, 0], xp[b, :, c0:c1], out=a)
+            for i, j, off in taps[1:]:
+                a += np.matmul(wtap[i, j], xp[b, :, off + c0 : off + c1], out=t)
         np.add(acc.reshape(co, ho, wp)[:, :, :wo], bias.data.reshape(co, 1, 1), out=out[b])
 
     def bwd(g):
@@ -180,11 +204,11 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
         for b in range(n):
             gflat[:, :, :wo] = g[b]
             gf = gflat.reshape(co, length)
-            for i, j, off in taps:
+            for (i, j, off), (c0, c1) in itertools.product(taps, blocks):
                 if gw is not None:
-                    gw[i, j] += gf @ xp[b, :, off : off + length].T
+                    gw[i, j] += gf[:, c0:c1] @ xp[b, :, off + c0 : off + c1].T
                 if gx is not None:
-                    gx[b, :, off : off + length] += np.matmul(wtap[i, j].T, gf, out=tmp)
+                    gx[b, :, off + c0 : off + c1] += np.matmul(wtap[i, j].T, gf[:, c0:c1], out=tmp[:, c0:c1])
         gw = None if gw is None else gw.transpose(2, 3, 0, 1)
         gx = None if gx is None else gx.reshape(n, ci, hp, wp)[:, :, ph : ph + h, pw : pw + w]
         return gx, gw, gb

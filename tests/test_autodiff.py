@@ -47,6 +47,25 @@ def linear_grad(f, shape, g):
     return grad
 
 
+def check_conv_against_oracle(rng, shape, k, dil, pad):
+    """conv2d output and x/w/b gradients against conv_oracle, float64."""
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(2, shape[1], k, k))
+    b = rng.normal(size=2)
+    xt, wt, bt = t64(x, rg=True), t64(w, rg=True), t64(b, rg=True)
+    out = ad.conv2d(xt, wt, bt, dilation=dil, padding=pad)
+    expected = conv_oracle(x, w, b, dil, pad)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    g = rng.normal(size=expected.shape)
+    ad.backward(ad.tsum(ad.mul(out, t64(g))))
+    zb = np.zeros(2)
+    np.testing.assert_allclose(
+        xt.grad, linear_grad(lambda v: conv_oracle(v, w, zb, dil, pad), x.shape, g), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        wt.grad, linear_grad(lambda v: conv_oracle(x, v, zb, dil, pad), w.shape, g), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+
+
 class TestConv2d:
     def test_ones_counting(self):
         x = t64(np.ones((1, 1, 3, 3)))
@@ -86,22 +105,26 @@ class TestConv2d:
             ((2, 3, 5, 6), 1, 1, "same"),  # 1x1 kernel
             ((2, 3, 7, 6), 3, 2, "valid"),
         ]
-        for shape, k, dil, pad in cases:
-            x = rng.normal(size=shape)
-            w = rng.normal(size=(2, shape[1], k, k))
-            b = rng.normal(size=2)
-            xt, wt, bt = t64(x, rg=True), t64(w, rg=True), t64(b, rg=True)
-            out = ad.conv2d(xt, wt, bt, dilation=dil, padding=pad)
-            expected = conv_oracle(x, w, b, dil, pad)
-            np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-            g = rng.normal(size=expected.shape)
-            ad.backward(ad.tsum(ad.mul(out, t64(g))))
-            zb = np.zeros(2)
-            np.testing.assert_allclose(
-                xt.grad, linear_grad(lambda v: conv_oracle(v, w, zb, dil, pad), x.shape, g), rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(
-                wt.grad, linear_grad(lambda v: conv_oracle(x, v, zb, dil, pad), w.shape, g), rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+        for case in cases:
+            check_conv_against_oracle(rng, *case)
+
+    def test_column_blocks_match_loop_oracle(self, monkeypatch):
+        # 5-column GEMMs, so every tap spans several blocks and a ragged last one
+        monkeypatch.setattr(ad, "_BLAS_SERIAL_MACS", 2 * 3 * 5 + 1)
+        assert ad._column_blocks(2 * 3, 12) == [(0, 5), (5, 10), (10, 12)]
+        rng = np.random.default_rng(4)
+        for case in [((2, 3, 6, 7), 3, 2, "same"), ((1, 3, 5, 9), 3, 1, "valid")]:
+            check_conv_against_oracle(rng, *case)
+
+    def test_column_blocks_cover_each_tap(self):
+        for rows_by_depth, length in [(16 * 16, 1088), (32 * 76, 1152), (6 * 22, 16384), (306 * 306, 66048)]:
+            blocks = ad._column_blocks(rows_by_depth, length)
+            assert [c0 for c0, _ in blocks] == [0] + [c1 for _, c1 in blocks[:-1]]
+            assert blocks[-1][1] == length
+            if rows_by_depth * length < ad._SMALL_TAP_MACS:
+                assert all(rows_by_depth * (c1 - c0) < ad._BLAS_SERIAL_MACS for c0, c1 in blocks)
+            else:
+                assert blocks == [(0, length)]
 
     def test_pruned_gradients_leave_others_bitwise_equal(self):
         rng = np.random.default_rng(3)
