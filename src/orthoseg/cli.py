@@ -149,11 +149,11 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    header, _ = checkpoint.load_checkpoint(args.ckpt)
+    header, tensors = checkpoint.load_checkpoint(args.ckpt)
     if not header.get("config_text"):
         raise DataError(f"{args.ckpt}: header carries no run config")
     cfg = RunConfig.parse(header["config_text"])
-    state, _ = trainer.state_from_checkpoint(args.ckpt, cfg.network_config())
+    state = trainer.state_from_tensors(header, tensors, cfg.network_config())
     raster = data.read_mcr(args.image)
     tile = cfg.tile_size
     probs, labels = inference.infer_full_raster(

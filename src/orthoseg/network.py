@@ -196,6 +196,49 @@ def _he_conv(rng, out_ch, in_ch, kh, kw, dtype=np.float32):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, kh, kw)).astype(dtype)
 
 
+def param_layout(cfg):
+    """``(name, shape)`` of every parameter, in build order: each conv's
+    ``(Co, Ci, k, k)`` weight followed by its ``(Co,)`` bias."""
+    layout = []
+
+    def add_conv(name, out_ch, in_ch, k):
+        layout.append((f"{name}.weight", (out_ch, in_ch, k, k)))
+        layout.append((f"{name}.bias", (out_ch,)))
+
+    for side, filters in (("primary", cfg.primary_filters), ("auxiliary", cfg.auxiliary_filters)):
+        in_ch = cfg.input_channels
+        for b in range(1, cfg.num_encoder_blocks + 1):
+            out_ch = filters[b - 1]
+            for i in range(1, cfg.conv_layers_in_block(b) + 1):
+                add_conv(f"encoder.{side}.block{b}.conv{i}", out_ch, in_ch, 3)
+                in_ch = out_ch
+
+    e = cfg.num_encoder_blocks
+    feat_in = cfg.primary_filters[-1] + cfg.auxiliary_filters[-1]
+    for j in range(1, e + 1):
+        skip_ch = cfg.primary_filters[e - j] + cfg.auxiliary_filters[e - j]
+        cat_ch = feat_in + skip_ch + 2 * cfg.input_channels * 2
+        add_conv(f"decoder.block{j}.conv1", cfg.decoder_filters, cat_ch, 3)
+        add_conv(f"decoder.block{j}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
+        add_conv(f"decoder.block{j}.decision", cfg.num_classes, cfg.decoder_filters, 1)
+        feat_in = cfg.decoder_filters
+
+    for r in range(1, cfg.num_additional_residual_blocks + 1):
+        cat_ch = cfg.decoder_filters + 2 * cfg.input_channels * 2
+        add_conv(f"residual.block{r}.conv1", cfg.decoder_filters, cat_ch, 3)
+        add_conv(f"residual.block{r}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
+        add_conv(f"residual.block{r}.decision", cfg.num_classes, cfg.decoder_filters, 1)
+
+    sccb_in = cfg.num_classes + cfg.decoder_filters
+    branch_total = 0
+    for rate, nf in cfg.sccb_dilations:
+        add_conv(f"sccb.branch_d{rate}", nf, sccb_in, 3)
+        branch_total += nf
+    add_conv("sccb.conv1", cfg.sccb_conv1_filters, branch_total + cfg.num_classes, 1)
+    add_conv("sccb.conv2", cfg.sccb_conv2_filters, cfg.sccb_conv1_filters, 1)
+    return layout
+
+
 class Model:
     """A built network: immutable config plus its parameter store."""
 
@@ -207,46 +250,28 @@ class Model:
 
     @classmethod
     def build(cls, config, seed):
+        """He-initialized weights drawn from ``seed`` in layout order, zero biases."""
         rng = np.random.default_rng(seed)
         params = ModelParams()
-        cfg = config
+        for name, shape in param_layout(config):
+            data = _he_conv(rng, *shape) if len(shape) == 4 else np.zeros(shape, dtype=np.float32)
+            params.add(name, Tensor(data))
+        return cls(config, params)
 
-        def add_conv(name, out_ch, in_ch, k):
-            params.add(f"{name}.weight", Tensor(_he_conv(rng, out_ch, in_ch, k, k)))
-            params.add(f"{name}.bias", Tensor(np.zeros(out_ch, dtype=np.float32)))
-
-        for side, filters in (("primary", cfg.primary_filters), ("auxiliary", cfg.auxiliary_filters)):
-            in_ch = cfg.input_channels
-            for b in range(1, cfg.num_encoder_blocks + 1):
-                out_ch = filters[b - 1]
-                for i in range(1, cfg.conv_layers_in_block(b) + 1):
-                    add_conv(f"encoder.{side}.block{b}.conv{i}", out_ch, in_ch, 3)
-                    in_ch = out_ch
-
-        e = cfg.num_encoder_blocks
-        feat_in = cfg.primary_filters[-1] + cfg.auxiliary_filters[-1]
-        for j in range(1, e + 1):
-            skip_ch = cfg.primary_filters[e - j] + cfg.auxiliary_filters[e - j]
-            cat_ch = feat_in + skip_ch + 2 * cfg.input_channels * 2
-            add_conv(f"decoder.block{j}.conv1", cfg.decoder_filters, cat_ch, 3)
-            add_conv(f"decoder.block{j}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
-            add_conv(f"decoder.block{j}.decision", cfg.num_classes, cfg.decoder_filters, 1)
-            feat_in = cfg.decoder_filters
-
-        for r in range(1, cfg.num_additional_residual_blocks + 1):
-            cat_ch = cfg.decoder_filters + 2 * cfg.input_channels * 2
-            add_conv(f"residual.block{r}.conv1", cfg.decoder_filters, cat_ch, 3)
-            add_conv(f"residual.block{r}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
-            add_conv(f"residual.block{r}.decision", cfg.num_classes, cfg.decoder_filters, 1)
-
-        sccb_in = cfg.num_classes + cfg.decoder_filters
-        branch_total = 0
-        for rate, nf in cfg.sccb_dilations:
-            add_conv(f"sccb.branch_d{rate}", nf, sccb_in, 3)
-            branch_total += nf
-        add_conv("sccb.conv1", cfg.sccb_conv1_filters, branch_total + cfg.num_classes, 1)
-        add_conv("sccb.conv2", cfg.sccb_conv2_filters, cfg.sccb_conv1_filters, 1)
-        return cls(cfg, params)
+    @classmethod
+    def from_arrays(cls, config, arrays):
+        """Wraps ``arrays`` (parameter name -> array) as the parameters of
+        ``config``; float32 arrays are used in place, not copied. Entries
+        outside the layout are ignored."""
+        params = ModelParams()
+        for name, shape in param_layout(config):
+            if name not in arrays:
+                raise OrthosegError(f"missing parameter {name}")
+            if arrays[name].shape != shape:
+                raise OrthosegError(
+                    f"shape mismatch for {name}: {arrays[name].shape} != {shape}")
+            params.add(name, Tensor(np.asarray(arrays[name], dtype=np.float32)))
+        return cls(config, params)
 
     # -- forward ----------------------------------------------------------
 

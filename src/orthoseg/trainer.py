@@ -166,24 +166,22 @@ def state_from_checkpoint(path, network_config, expected_digest=None, override=F
     header, tensors = ckpt.load_checkpoint(path)
     if expected_digest is not None:
         ckpt.check_digest(header, expected_digest, override)
-    model = Model.build(network_config, seed=0)
-    for name, t in model.params.items():
-        key = f"param:{name}"
-        if key not in tensors:
-            raise OrthosegError(f"checkpoint missing parameter {name}")
-        if tensors[key].shape != t.data.shape:
-            raise OrthosegError(f"checkpoint shape mismatch for {name}")
-        t.data = tensors[key].astype(t.data.dtype)
+    return state_from_tensors(header, tensors, network_config), header
+
+
+def state_from_tensors(header, tensors, network_config):
+    """The TrainState held by a loaded checkpoint's ``header`` and
+    ``tensors``; float32 parameters and velocities are used in place."""
+    model = Model.from_arrays(network_config, {
+        key[len("param:"):]: arr for key, arr in tensors.items() if key.startswith("param:")})
     frozen = set(header["frozen"])
     for name, t in model.params.items():
         t.requires_grad = name not in frozen
-    velocities = {}
-    for key, arr in tensors.items():
-        if key.startswith("velocity:"):
-            velocities[key[len("velocity:"):]] = arr.astype(np.float32)
+    velocities = {key[len("velocity:"):]: arr.astype(np.float32, copy=False)
+                  for key, arr in tensors.items() if key.startswith("velocity:")}
     rng = np.random.default_rng()
     rng.bit_generator.state = header["noise_rng_state"]
-    state = TrainState(
+    return TrainState(
         model=model,
         velocities=velocities,
         lr=header["lr"],
@@ -198,7 +196,6 @@ def state_from_checkpoint(path, network_config, expected_digest=None, override=F
         fine_plateau_count=header["fine_plateau_count"],
         unfrozen_blocks=list(header["unfrozen_blocks"]),
     )
-    return state, header
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +207,11 @@ def _epoch_index(seed, epoch, n, pos):
     return int(order[pos])
 
 
-def validation_loss(model, val_samples, noiserates):
+def validation_loss(model, val_samples):
+    """Mean cross entropy over ``val_samples``; eval mode adds no noise."""
     total = 0.0
     for primary, auxiliary, label_half in val_samples:
-        probs = model.forward(primary[None], auxiliary[None], training=False,
-                              noiserates=noiserates)
+        probs = model.forward(primary[None], auxiliary[None], training=False)
         total += ad.cross_entropy_value(probs.data, label_half[None])
     return total / len(val_samples)
 
@@ -257,6 +254,12 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     n = len(train_samples)
     best_seen = state.tracker.best_loss
 
+    def fail(what):
+        diag = os.path.join(out_dir, "diagnostic.ckpt")
+        state_to_checkpoint(diag, state, digest, cfg_text)
+        raise NumericalError(
+            f"non-finite {what} at iteration {state.iteration}; diagnostic checkpoint {diag}")
+
     with open(metrics_path, "a", newline="") as logf:
         writer = csv.writer(logf)
         if new_log:
@@ -269,10 +272,7 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
             loss = ad.cross_entropy_loss(probs, label_half[None])
             train_loss = float(loss.data)
             if not math.isfinite(train_loss):
-                diag = os.path.join(out_dir, "diagnostic.ckpt")
-                state_to_checkpoint(diag, state, digest, cfg_text)
-                raise NumericalError(
-                    f"non-finite loss at iteration {state.iteration}; diagnostic checkpoint {diag}")
+                fail("loss")
             state.model.params.zero_grads()
             ad.backward(loss)
             nesterov_step(state.model.params, state)
@@ -280,7 +280,9 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
             state.iteration += 1
 
             if state.iteration % run_cfg.eval_interval == 0 or state.iteration == limit:
-                val_loss = validation_loss(state.model, val_samples, state.noiserates)
+                val_loss = validation_loss(state.model, val_samples)
+                if not math.isfinite(val_loss):
+                    fail("validation loss")
                 fired = state.tracker.check(state.iteration, val_loss)
                 if fired:
                     on_plateau(state)

@@ -1,7 +1,9 @@
 """Checkpoint container tests: byte layout, round trips, digest gating and
 partial weight import."""
 
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +72,74 @@ def test_truncated_payload_rejected(tmp_path):
     open(path, "wb").write(raw[:-10])
     with pytest.raises(DataError, match="truncated"):
         ckpt.load_checkpoint(path)
+
+
+def test_every_truncation_raises_data_error(tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    ckpt.save_checkpoint(path, {"k": 1}, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
+    raw = open(path, "rb").read()
+    for cut in range(len(raw)):
+        open(path, "wb").write(raw[:cut])
+        with pytest.raises(DataError):
+            ckpt.load_checkpoint(path)
+
+
+def raw_checkpoint(header_blob, records=b"", count=0):
+    """Container bytes around an arbitrary header blob and record bytes."""
+    return (b"OSCK" + struct.pack("<II", 1, len(header_blob)) + header_blob
+            + struct.pack("<I", count) + records)
+
+
+@pytest.mark.parametrize("blob,records,count,match", [
+    (b"\xff\xfe", b"", 0, "malformed header"),
+    (b"{not json", b"", 0, "malformed header"),
+    (b"[1, 2]", b"", 0, "not a JSON object"),
+    (b"{}", struct.pack("<H", 2) + b"\xff\xfe", 1, "not UTF-8"),
+    (b"{}", struct.pack("<H", 1) + b"w" + struct.pack("BB", 9, 1), 1, "dtype code"),
+    (b"{}", struct.pack("<H", 1) + b"w" + struct.pack("BB", 1, 200), 1, "rank"),
+])
+def test_malformed_container_raises_data_error(tmp_path, blob, records, count, match):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw_checkpoint(blob, records, count))
+    with pytest.raises(DataError, match=match):
+        ckpt.load_checkpoint(str(path))
+
+
+def test_oversized_extent_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    record = struct.pack("<H", 1) + b"w" + struct.pack("<BBII", 1, 2, 60000, 60000)
+    path.write_bytes(raw_checkpoint(b"{}", record, 1))
+    assert path.stat().st_size == 31
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated payload"):
+            ckpt.load_checkpoint(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+class Exploding:
+    """An array-like whose conversion fails, as a write failing mid-payload."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path):
+    path = str(tmp_path / "latest.ckpt")
+    ckpt.save_checkpoint(path, {"iteration": 1}, sample_tensors())
+    before = open(path, "rb").read()
+    tensors = dict(sample_tensors(), zz=Exploding())
+    with pytest.raises(OSError, match="no space"):
+        ckpt.save_checkpoint(path, {"iteration": 2}, tensors)
+    assert open(path, "rb").read() == before
+    header, loaded = ckpt.load_checkpoint(path)
+    assert header == {"iteration": 1}
+    for name, arr in sample_tensors().items():
+        assert np.array_equal(loaded[name], arr)
+    assert os.listdir(tmp_path) == ["latest.ckpt"]
 
 
 def test_check_digest():

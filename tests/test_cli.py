@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from orthoseg import data
+from orthoseg import checkpoint, data
 from orthoseg.cli import main
 from orthoseg.config import RunConfig
 
@@ -149,3 +149,24 @@ def test_missing_image_exits_data_code(pipeline, capsys):
     code = run(["infer", "--ckpt", ckpt, "--image", "/nonexistent.mcr", "--out", "/tmp/x"])
     assert code == 3
     assert "error code=3" in capsys.readouterr().err
+
+
+def test_infer_reads_checkpoint_once(pipeline, tmp_path, monkeypatch):
+    raw = pipeline["raw"]
+    image = os.path.join(raw, sorted(os.listdir(raw))[0])
+    ckpt = os.path.join(pipeline["runout"], "final.ckpt")
+    calls = []
+    load = checkpoint.load_checkpoint
+    monkeypatch.setattr(checkpoint, "load_checkpoint", lambda p: calls.append(p) or load(p))
+    assert run(["infer", "--ckpt", ckpt, "--image", image, "--out", str(tmp_path / "p")]) == 0
+    assert calls == [ckpt]
+
+
+def test_truncated_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
+    raw = open(os.path.join(pipeline["runout"], "final.ckpt"), "rb").read()
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(raw[:14])  # inside the header JSON
+    code = run(["infer", "--ckpt", str(ckpt), "--image", "/nonexistent.mcr",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error code=3 kind=DataError" in capsys.readouterr().err

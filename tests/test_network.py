@@ -3,7 +3,7 @@ import pytest
 
 from orthoseg import autodiff as ad
 from orthoseg.errors import ConfigurationError, OrthosegError
-from orthoseg.network import Model, NetworkConfig, NoiseRates
+from orthoseg.network import Model, NetworkConfig, NoiseRates, param_layout
 
 
 def expected_param_count(cfg):
@@ -107,6 +107,37 @@ class TestBuild:
         for name, t in m.params.items():
             if name.endswith(".bias"):
                 assert not t.data.any()
+
+
+    def test_layout_matches_build(self):
+        for cfg in (NetworkConfig.desk(), NetworkConfig.benchmark()):
+            m = Model.build(cfg, 0)
+            assert param_layout(cfg) == [(n, t.data.shape) for n, t in m.params.items()]
+
+
+class TestFromArrays:
+    def test_wraps_float32_arrays_in_place(self):
+        cfg = NetworkConfig.desk()
+        arrays = {n: t.data for n, t in Model.build(cfg, 5).params.items()}
+        m = Model.from_arrays(cfg, arrays)
+        assert m.params.names() == list(arrays)
+        for name, t in m.params.items():
+            assert t.data is arrays[name]
+            assert t.requires_grad
+
+    def test_missing_parameter_rejected(self):
+        cfg = NetworkConfig.desk()
+        arrays = {n: t.data for n, t in Model.build(cfg, 5).params.items()}
+        del arrays["sccb.conv2.bias"]
+        with pytest.raises(OrthosegError, match="missing parameter sccb.conv2.bias"):
+            Model.from_arrays(cfg, arrays)
+
+    def test_misshaped_parameter_rejected(self):
+        cfg = NetworkConfig.desk()
+        arrays = {n: t.data for n, t in Model.build(cfg, 5).params.items()}
+        arrays["decoder.block1.conv1.weight"] = arrays["decoder.block1.conv1.weight"][:, :-1]
+        with pytest.raises(OrthosegError, match="shape mismatch for decoder.block1.conv1.weight"):
+            Model.from_arrays(cfg, arrays)
 
 
 class TestForward:

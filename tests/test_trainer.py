@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from orthoseg import autodiff as ad
-from orthoseg import trainer
+from orthoseg import checkpoint, network, trainer
 from orthoseg.config import RunConfig
-from orthoseg.errors import NumericalError
+from orthoseg.errors import NumericalError, OrthosegError
 from orthoseg.network import Model
 from orthoseg.trainer import (PHASE_FINE_TUNING, PHASE_INITIAL, PlateauTracker,
                               TrainState, init_state, nesterov_step, on_plateau)
@@ -272,6 +272,57 @@ def test_nonfinite_loss_raises_with_diagnostic(tmp_path):
     with pytest.raises(NumericalError):
         trainer.train_loop(cfg, model, samples, samples, str(tmp_path / "o"))
     assert (tmp_path / "o" / "diagnostic.ckpt").exists()
+
+
+def test_nonfinite_validation_loss_raises_with_diagnostic(tmp_path):
+    cfg = desk_cfg(max_iterations=4, eval_interval=2, checkpoint_interval=100, seed=0)
+    samples = synth_samples(1, size=16)
+    primary, auxiliary, label = synth_samples(1, size=16, seed=1)[0]
+    val = [(np.full_like(primary, np.nan), auxiliary, label)]
+    model = Model.build(cfg.network_config(), seed=0)
+    with pytest.raises(NumericalError, match="validation loss at iteration 2"):
+        trainer.train_loop(cfg, model, samples, val, str(tmp_path / "o"))
+    diag, _ = trainer.state_from_checkpoint(str(tmp_path / "o" / "diagnostic.ckpt"),
+                                            cfg.network_config())
+    assert diag.iteration == 2
+    assert diag.tracker.best_iteration == 0
+
+
+def test_state_from_checkpoint_draws_no_weights(tmp_path, monkeypatch):
+    cfg = desk_cfg(seed=3)
+    state = make_state(Model.build(cfg.network_config(), seed=3), cfg)
+    path = str(tmp_path / "w.ckpt")
+    trainer.state_to_checkpoint(path, state, cfg.digest())
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("He initialization during a checkpoint load")
+
+    monkeypatch.setattr(network, "_he_conv", no_init)
+    loaded, _ = trainer.state_from_checkpoint(path, cfg.network_config())
+    assert loaded.model.params.names() == state.model.params.names()
+    for name, t in state.model.params.items():
+        got = loaded.model.params[name]
+        assert got.data.dtype == np.float32
+        assert np.array_equal(got.data, t.data), name
+        assert got.requires_grad == t.requires_grad, name
+    assert sorted(loaded.velocities) == sorted(state.velocities)
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+def test_state_from_checkpoint_rejects_bad_parameter(tmp_path, damage):
+    cfg = desk_cfg()
+    state = make_state(build_desk_model(), cfg)
+    path = str(tmp_path / "w.ckpt")
+    trainer.state_to_checkpoint(path, state, cfg.digest())
+    header, tensors = checkpoint.load_checkpoint(path)
+    key = "param:sccb.branch_d5.weight"
+    if damage == "missing":
+        del tensors[key]
+    else:
+        tensors[key] = tensors[key][:1]
+    checkpoint.save_checkpoint(path, header, tensors)
+    with pytest.raises(OrthosegError, match="sccb.branch_d5.weight"):
+        trainer.state_from_checkpoint(path, cfg.network_config())
 
 
 def test_digest_mismatch_rejected(tmp_path):
