@@ -2,7 +2,9 @@
 
 Every training hyperparameter has a key whose default is the benchmark
 value; parsing then re-serializing is canonical (sorted keys).  Unknown
-keys are rejected.
+keys are rejected.  These defaults and ``RunConfig.desk()`` are the only
+copy of the presets: ``NetworkConfig.benchmark()``/``desk()`` and
+``NoiseRates.default()`` are derived from them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from .network import NetworkConfig, NoiseRates
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -84,9 +84,8 @@ class RunConfig:
                 raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-            ty = types[key]
             try:
-                values[key] = ty(val) if ty is not bool else val.lower() == "true"
+                values[key] = types[key](val)
             except ValueError as exc:
                 raise ConfigurationError(f"line {lineno}: bad value for {key}: {exc}") from exc
         return cls(**values)
@@ -126,14 +125,10 @@ class RunConfig:
         )
 
     def noiserates(self):
-        return NoiseRates(
-            encoder={64: self.noiserate_le64, 128: self.noiserate_le128,
-                     256: self.noiserate_le256, 512: self.noiserate_le512},
-            decoder={64: self.noiserate_le64, 128: self.noiserate_le128,
-                     256: self.noiserate_le256, 512: self.noiserate_le512},
-            sccb=self.noiserate_sccb,
-            residual=self.noiserate_residual,
-        )
+        table = {64: self.noiserate_le64, 128: self.noiserate_le128,
+                 256: self.noiserate_le256, 512: self.noiserate_le512}
+        return NoiseRates(encoder=table, decoder=dict(table),
+                          sccb=self.noiserate_sccb, residual=self.noiserate_residual)
 
     @classmethod
     def desk(cls, **overrides):

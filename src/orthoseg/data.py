@@ -9,6 +9,7 @@ accepted for optical and label planes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -95,28 +96,34 @@ def write_mcr(path, raster):
             f.write(np.ascontiguousarray(plane, dtype=dt).tobytes())
 
 
+def _read_exact(f, n, what):
+    """Exactly ``n`` bytes from ``f``; ``n`` is checked against the bytes left
+    in the file before anything is read, so a bogus size allocates nothing."""
+    if n > os.fstat(f.fileno()).st_size - f.tell() or len(buf := f.read(n)) != n:
+        raise DataError(f"{f.name}: truncated {what}")
+    return buf
+
+
 def read_mcr(path, raster_id=None):
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != b"MCR1":
             raise DataError(f"{path}: bad magic {magic!r}")
-        nch, h, w = struct.unpack("<III", f.read(12))
+        nch, h, w = struct.unpack("<III", _read_exact(f, 12, "header"))
         descs = []
         for _ in range(nch):
-            raw = f.read(17)
-            if len(raw) != 17:
-                raise DataError(f"{path}: truncated channel descriptor")
-            name = raw[:16].rstrip(b"\0").decode("ascii")
+            raw = _read_exact(f, 17, "channel descriptor")
+            try:
+                name = raw[:16].rstrip(b"\0").decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: channel name is not ASCII") from exc
             code = raw[16]
             if code not in _DTYPE_CODES:
                 raise DataError(f"{path}: unknown dtype code {code}")
             descs.append((name, _DTYPE_CODES[code]))
         channels = {}
         for name, dt in descs:
-            nbytes = h * w * dt.itemsize
-            buf = f.read(nbytes)
-            if len(buf) != nbytes:
-                raise DataError(f"{path}: truncated plane {name}")
+            buf = _read_exact(f, h * w * dt.itemsize, f"plane {name}")
             arr = np.frombuffer(buf, dtype=dt).reshape(h, w)
             channels[name] = arr.astype(np.uint8) if dt == np.dtype("u1") else arr.astype(np.float32)
     return Raster(channels=channels, raster_id=raster_id or str(path))
@@ -127,29 +134,32 @@ def read_mcr(path, raster_id=None):
 
 
 def _read_pnm_header(f, magic_expected):
-    magic = f.readline().split()[0]
-    if magic != magic_expected:
-        raise DataError(f"expected {magic_expected.decode()}, got {magic!r}")
+    magic = f.readline().split()[:1]
+    if magic != [magic_expected]:
+        raise DataError(f"{f.name}: expected {magic_expected.decode()}, got {magic!r}")
     vals = []
     while len(vals) < 3:
         line = f.readline()
         if not line:
-            raise DataError("truncated PNM header")
+            raise DataError(f"{f.name}: truncated PNM header")
         if line.lstrip().startswith(b"#"):
             continue
-        vals.extend(int(v) for v in line.split())
+        try:
+            vals.extend(int(v) for v in line.split())
+        except ValueError as exc:
+            raise DataError(f"{f.name}: non-numeric PNM header field in {line!r}") from exc
     w, h, maxval = vals[:3]
     if maxval != 255:
-        raise DataError(f"only maxval 255 supported, got {maxval}")
+        raise DataError(f"{f.name}: only maxval 255 supported, got {maxval}")
+    if w < 0 or h < 0:
+        raise DataError(f"{f.name}: negative extent {w}x{h}")
     return w, h
 
 
 def read_ppm(path):
     with open(path, "rb") as f:
         w, h = _read_pnm_header(f, b"P6")
-        buf = f.read(w * h * 3)
-        if len(buf) != w * h * 3:
-            raise DataError(f"{path}: truncated pixel data")
+        buf = _read_exact(f, w * h * 3, "pixel data")
         return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
@@ -163,9 +173,7 @@ def write_ppm(path, rgb):
 def read_pgm(path):
     with open(path, "rb") as f:
         w, h = _read_pnm_header(f, b"P5")
-        buf = f.read(w * h)
-        if len(buf) != w * h:
-            raise DataError(f"{path}: truncated pixel data")
+        buf = _read_exact(f, w * h, "pixel data")
         return np.frombuffer(buf, dtype=np.uint8).reshape(h, w).copy()
 
 

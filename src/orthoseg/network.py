@@ -15,8 +15,7 @@ Gradient-flow rules realized here:
 
 from __future__ import annotations
 
-import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,16 @@ class NoiseRates:
     (upper bounds); SCCB and additional-residual rates are flat.
     """
 
-    encoder: dict = field(default_factory=dict)
-    decoder: dict = field(default_factory=dict)
-    sccb: float = 0.0625
-    residual: float = 0.0625
+    encoder: dict
+    decoder: dict
+    sccb: float
+    residual: float
 
     @classmethod
     def default(cls):
-        table = {64: 0.0625, 128: 0.125, 256: 0.1875, 512: 0.25}
-        return cls(encoder=dict(table), decoder=dict(table), sccb=0.0625, residual=0.0625)
+        """The paper's Table 2 rates, as held by the ``RunConfig`` defaults."""
+        from .config import RunConfig  # deferred: config imports this module
+        return RunConfig().noiserates()
 
     def rate(self, region, channels=None):
         if region == "sccb":
@@ -54,11 +54,11 @@ class NoiseRates:
                 return buckets[bound]
         return buckets[max(buckets)]
 
-    def decay(self, encoder_factor=0.75, decoder_factor=0.375, sccb_factor=0.25):
-        self.encoder = {k: v * encoder_factor for k, v in self.encoder.items()}
-        self.decoder = {k: v * decoder_factor for k, v in self.decoder.items()}
-        self.residual *= decoder_factor
-        self.sccb *= sccb_factor
+    def decay(self):
+        self.encoder = {k: v * 0.75 for k, v in self.encoder.items()}
+        self.decoder = {k: v * 0.375 for k, v in self.decoder.items()}
+        self.residual *= 0.375
+        self.sccb *= 0.25
 
     def to_dict(self):
         return {
@@ -77,9 +77,6 @@ class NoiseRates:
             residual=d["residual"],
         )
 
-    def copy(self):
-        return NoiseRates(dict(self.encoder), dict(self.decoder), self.sccb, self.residual)
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -90,13 +87,13 @@ class NetworkConfig:
     num_additional_residual_blocks: int
     num_classes: int
     sccb_dilations: tuple = ((5, 25), (11, 25))
-    sccb_pool_size: int = 5
-    sccb_conv1_filters: int = None
-    sccb_conv2_filters: int = None
     input_scale_divisor: float = 6.0
     output_scale_divisor: float = 20.0
-    decoder_dilation: int = 2
-    input_channels: int = 3
+
+    # fixed by the architecture, not configurable
+    input_channels = 3
+    sccb_pool_size = 5
+    decoder_dilation = 2
 
     def __post_init__(self):
         if len(self.primary_filters) != self.num_encoder_blocks:
@@ -105,38 +102,18 @@ class NetworkConfig:
             raise ConfigurationError("auxiliary_filters length must equal num_encoder_blocks")
         if self.num_encoder_blocks < 1 or self.num_classes < 1:
             raise ConfigurationError("need at least one encoder block and one class")
-        for name in ("sccb_conv1_filters", "sccb_conv2_filters"):
-            v = getattr(self, name)
-            if v is None:
-                object.__setattr__(self, name, self.num_classes)
-            elif v != self.num_classes:
-                raise ConfigurationError(f"{name} must equal num_classes (decision conv)")
 
     @classmethod
     def benchmark(cls):
         """Seven-block instance used for the Potsdam benchmark (Table 1 widths)."""
-        return cls(
-            num_encoder_blocks=7,
-            primary_filters=(64, 128, 256, 512, 512, 512, 512),
-            auxiliary_filters=(64, 128, 256, 256, 256, 256, 256),
-            decoder_filters=300,
-            num_additional_residual_blocks=1,
-            num_classes=6,
-            sccb_dilations=((5, 25), (11, 25)),
-        )
+        from .config import RunConfig  # deferred: config imports this module
+        return RunConfig().network_config()
 
     @classmethod
     def desk(cls):
         """Small instance for CPU desk-scale verification and training."""
-        return cls(
-            num_encoder_blocks=3,
-            primary_filters=(16, 32, 64),
-            auxiliary_filters=(16, 32, 32),
-            decoder_filters=32,
-            num_additional_residual_blocks=1,
-            num_classes=6,
-            sccb_dilations=((5, 8), (11, 8)),
-        )
+        from .config import RunConfig  # deferred: config imports this module
+        return RunConfig.desk().network_config()
 
     def conv_layers_in_block(self, block):
         """VGG-16 layout: blocks 1-2 have two 3x3 convs, deeper blocks three."""
@@ -167,10 +144,10 @@ class ModelParams:
     def items(self):
         return self._tensors.items()
 
-    def set_trainable(self, pattern, flag):
-        matched = [n for n in self._tensors if n == pattern or n.startswith(pattern + ".") or fnmatch.fnmatch(n, pattern)]
+    def set_trainable(self, prefix, flag):
+        matched = [n for n in self._tensors if n == prefix or n.startswith(prefix + ".")]
         if not matched:
-            raise OrthosegError(f"pattern {pattern!r} matches no parameters")
+            raise OrthosegError(f"prefix {prefix!r} matches no parameters")
         for n in matched:
             self._tensors[n].requires_grad = bool(flag)
             if not flag:
@@ -234,8 +211,8 @@ def param_layout(cfg):
     for rate, nf in cfg.sccb_dilations:
         add_conv(f"sccb.branch_d{rate}", nf, sccb_in, 3)
         branch_total += nf
-    add_conv("sccb.conv1", cfg.sccb_conv1_filters, branch_total + cfg.num_classes, 1)
-    add_conv("sccb.conv2", cfg.sccb_conv2_filters, cfg.sccb_conv1_filters, 1)
+    add_conv("sccb.conv1", cfg.num_classes, branch_total + cfg.num_classes, 1)
+    add_conv("sccb.conv2", cfg.num_classes, cfg.num_classes, 1)
     return layout
 
 
@@ -290,13 +267,6 @@ class Model:
         with ad.no_grad():
             return self._forward(primary, auxiliary, training, rng, noiserates, taps, perturb)
 
-    def _tap(self, taps, name, tensor, perturb):
-        if perturb and name in perturb:
-            tensor = ad.add(tensor, Tensor(np.asarray(perturb[name], dtype=tensor.data.dtype)))
-        if taps is not None:
-            taps[name] = tensor
-        return tensor
-
     def _forward(self, primary, auxiliary, training, rng, rates, taps, perturb):
         cfg = self.config
         if rates is None:
@@ -324,6 +294,15 @@ class Model:
         def noise(x, region, channels=None):
             return ad.dmgn(x, rates.rate(region, channels), training, rng)
 
+        def tap(name, tensor):
+            """The one instrumentation point: adds ``perturb[name]`` when
+            given, records the result in ``taps`` and returns it."""
+            if perturb and name in perturb:
+                tensor = ad.add(tensor, Tensor(np.asarray(perturb[name], dtype=tensor.data.dtype)))
+            if taps is not None:
+                taps[name] = tensor
+            return tensor
+
         # per-block raw-input feeds: the input pyramid and its 5x5 high-pass
         # sub-maps, built once per forward since they depend only on the input
         net_input = ad.concat_channels([primary, auxiliary])
@@ -341,9 +320,8 @@ class Model:
                     if b >= 4 and i > 1:
                         x = noise(x, "encoder", x.data.shape[1])
                     x = ad.elu(conv(x, f"encoder.{side}.block{b}.conv{i}"))
+                x = tap(f"encoder.{side}.block{b}.pre_pool", x)
                 skips.append(x)
-                if taps is not None:
-                    taps[f"encoder.{side}.block{b}.pre_pool"] = x
                 x = ad.max_pool2(x)
                 x = noise(x, "encoder", ch)
             return skips, x
@@ -357,12 +335,9 @@ class Model:
         decis = Tensor(np.zeros((n, cfg.num_classes, hb, wb), dtype=primary.data.dtype))
 
         for j in range(1, e + 1):
-            feats = self._tap(taps, f"decoder.block{j}.features_in", feats, perturb)
-            if taps is not None:
-                taps[f"decoder.block{j}.decisions_in"] = decis
-            f_up = ad.upsample2(feats)
-            if taps is not None:
-                taps[f"decoder.block{j}.features_up"] = f_up
+            feats = tap(f"decoder.block{j}.features_in", feats)
+            decis = tap(f"decoder.block{j}.decisions_in", decis)
+            f_up = tap(f"decoder.block{j}.features_up", ad.upsample2(feats))
             if j > 1:
                 f_up = ad.stop_gradient(f_up)
             d_up = ad.upsample2(decis)
@@ -377,20 +352,16 @@ class Model:
             ])
             h1 = ad.elu(conv(cat, f"decoder.block{j}.conv1", cfg.decoder_dilation))
             h1 = noise(h1, "decoder", h1.data.shape[1])
-            feats = ad.elu(conv(h1, f"decoder.block{j}.conv2", cfg.decoder_dilation))
+            feats = tap(f"decoder.block{j}.features_out",
+                        ad.elu(conv(h1, f"decoder.block{j}.conv2", cfg.decoder_dilation)))
             corr = conv(feats, f"decoder.block{j}.decision")
-            decis = ad.add(d_up, corr)
-            if taps is not None:
-                taps[f"decoder.block{j}.features_out"] = feats
-                taps[f"decoder.block{j}.decisions_out"] = decis
+            decis = tap(f"decoder.block{j}.decisions_out", ad.add(d_up, corr))
 
         decis = ad.scale_const(decis, 1.0 / cfg.output_scale_divisor)
 
         for r in range(1, cfg.num_additional_residual_blocks + 1):
-            feats = self._tap(taps, f"residual.block{r}.features_in", feats, perturb)
-            f_gated = ad.stop_gradient(feats)
-            if taps is not None:
-                taps[f"residual.block{r}.features_gated"] = f_gated
+            feats = tap(f"residual.block{r}.features_in", feats)
+            f_gated = tap(f"residual.block{r}.features_gated", ad.stop_gradient(feats))
             cat = ad.concat_channels([
                 ad.dmgn(f_gated, rates.rate("residual"), training, rng),
                 pyramid[1],
@@ -398,22 +369,16 @@ class Model:
             ])
             h1 = ad.elu(conv(cat, f"residual.block{r}.conv1", cfg.decoder_dilation))
             h1 = ad.dmgn(h1, rates.rate("residual"), training, rng)
-            feats = ad.elu(conv(h1, f"residual.block{r}.conv2", cfg.decoder_dilation))
+            feats = tap(f"residual.block{r}.features_out",
+                        ad.elu(conv(h1, f"residual.block{r}.conv2", cfg.decoder_dilation)))
             corr = conv(feats, f"residual.block{r}.decision")
-            decis = ad.add(decis, corr)
-            if taps is not None:
-                taps[f"residual.block{r}.features_out"] = feats
-                taps[f"residual.block{r}.decisions_out"] = decis
+            decis = tap(f"residual.block{r}.decisions_out", ad.add(decis, corr))
 
         # SCCB: fully gated side branch, ungated residual identity
-        if taps is not None:
-            taps["sccb.features_in"] = feats
-            taps["sccb.decisions_in"] = decis
-        d_gated = ad.stop_gradient(decis)
-        f_gated = ad.stop_gradient(feats)
-        if taps is not None:
-            taps["sccb.decisions_gated"] = d_gated
-            taps["sccb.features_gated"] = f_gated
+        feats = tap("sccb.features_in", feats)
+        decis = tap("sccb.decisions_in", decis)
+        d_gated = tap("sccb.decisions_gated", ad.stop_gradient(decis))
+        f_gated = tap("sccb.features_gated", ad.stop_gradient(feats))
         pooled = ad.avg_pool(ad.concat_channels([d_gated, f_gated]), cfg.sccb_pool_size,
                              stride=1, padding="same")
         branches = []
@@ -423,9 +388,6 @@ class Model:
         cat = ad.concat_channels(branches + [d_gated])
         h1 = ad.elu(conv(cat, "sccb.conv1"))
         corr = conv(h1, "sccb.conv2")
-        logits = ad.add(decis, corr)
-        if taps is not None:
-            taps["sccb.logits"] = logits
+        logits = tap("sccb.logits", ad.add(decis, corr))
 
         return ad.softmax_channels(logits)
-

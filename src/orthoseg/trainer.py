@@ -22,15 +22,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from .errors import NumericalError, OrthosegError
+from .errors import DataError, NumericalError, OrthosegError
 from .network import Model, NoiseRates
 
 PHASE_INITIAL = "initial"
 PHASE_FINE_TUNING = "fine_tuning"
-
-NOISE_DECAY_ENCODER = 0.75
-NOISE_DECAY_DECODER = 0.375
-NOISE_DECAY_SCCB = 0.25
 
 
 @dataclass
@@ -120,7 +116,7 @@ def on_plateau(state):
         state.phase = PHASE_FINE_TUNING
         state.momentum = state.fine_tuning_momentum
         return
-    state.noiserates.decay(NOISE_DECAY_ENCODER, NOISE_DECAY_DECODER, NOISE_DECAY_SCCB)
+    state.noiserates.decay()
     state.fine_plateau_count += 1
     block = {1: 2, 2: 1}.get(state.fine_plateau_count)
     if block is not None:
@@ -136,23 +132,23 @@ def on_plateau(state):
 # checkpoint bridging
 
 
+# TrainState fields the checkpoint header stores as plain JSON values, with
+# the type each must load as
+_HEADER_SCALARS = (("iteration", int), ("phase", str), ("lr", float), ("momentum", float),
+                  ("fine_tuning_momentum", float), ("fine_plateau_count", int),
+                  ("unfrozen_blocks", list), ("seed", int))
+
+
 def state_to_checkpoint(path, state, config_digest, config_text=""):
     header = {
         "config_digest": config_digest,
         "config_text": config_text,
         "digest_algorithm": "sha256",
-        "iteration": state.iteration,
-        "phase": state.phase,
-        "lr": state.lr,
-        "momentum": state.momentum,
-        "fine_tuning_momentum": state.fine_tuning_momentum,
         "noiserates": state.noiserates.to_dict(),
         "frozen": state.model.params.frozen_names(),
-        "fine_plateau_count": state.fine_plateau_count,
-        "unfrozen_blocks": state.unfrozen_blocks,
         "tracker": state.tracker.to_dict(),
         "noise_rng_state": state.noise_rng.bit_generator.state,
-        "seed": state.seed,
+        **{key: getattr(state, key) for key, _ in _HEADER_SCALARS},
     }
     tensors = {}
     for name, t in state.model.params.items():
@@ -171,30 +167,33 @@ def state_from_checkpoint(path, network_config, expected_digest=None, override=F
 
 def state_from_tensors(header, tensors, network_config):
     """The TrainState held by a loaded checkpoint's ``header`` and
-    ``tensors``; float32 parameters and velocities are used in place."""
+    ``tensors``; float32 parameters and velocities are used in place. A
+    missing or malformed header entry raises ``DataError`` naming it."""
+
+    def value(key, kind, parse=lambda v: v):
+        try:
+            if not isinstance(v := header[key], kind):
+                raise TypeError(kind.__name__)
+            return parse(v)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"checkpoint header: missing or malformed {key!r}") from exc
+
     model = Model.from_arrays(network_config, {
         key[len("param:"):]: arr for key, arr in tensors.items() if key.startswith("param:")})
-    frozen = set(header["frozen"])
+    frozen = value("frozen", list, set)
     for name, t in model.params.items():
         t.requires_grad = name not in frozen
     velocities = {key[len("velocity:"):]: arr.astype(np.float32, copy=False)
                   for key, arr in tensors.items() if key.startswith("velocity:")}
     rng = np.random.default_rng()
-    rng.bit_generator.state = header["noise_rng_state"]
+    value("noise_rng_state", dict, lambda st: setattr(rng.bit_generator, "state", st))
     return TrainState(
         model=model,
         velocities=velocities,
-        lr=header["lr"],
-        momentum=header["momentum"],
-        fine_tuning_momentum=header["fine_tuning_momentum"],
-        noiserates=NoiseRates.from_dict(header["noiserates"]),
-        tracker=PlateauTracker.from_dict(header["tracker"]),
+        noiserates=value("noiserates", dict, NoiseRates.from_dict),
+        tracker=value("tracker", dict, PlateauTracker.from_dict),
         noise_rng=rng,
-        seed=header["seed"],
-        iteration=header["iteration"],
-        phase=header["phase"],
-        fine_plateau_count=header["fine_plateau_count"],
-        unfrozen_blocks=list(header["unfrozen_blocks"]),
+        **{key: value(key, kind) for key, kind in _HEADER_SCALARS},
     )
 
 

@@ -170,3 +170,14 @@ def test_truncated_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
                 "--out", str(tmp_path / "x")])
     assert code == 3
     assert "error code=3 kind=DataError" in capsys.readouterr().err
+
+
+def test_checkpoint_without_train_state_exits_data_code(pipeline, tmp_path, capsys):
+    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    ckpt = str(tmp_path / "params_only.ckpt")
+    checkpoint.save_checkpoint(ckpt, {"config_text": header["config_text"]},
+                               {k: v for k, v in tensors.items() if k.startswith("param:")})
+    code = run(["infer", "--ckpt", ckpt, "--image", "/nonexistent.mcr",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error code=3 kind=DataError" in capsys.readouterr().err

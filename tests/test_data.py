@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,22 @@ class TestMcr:
         with pytest.raises(DataError):
             data.read_mcr(path)
 
+    def test_cut_inside_header_rejected(self, tmp_path):
+        path = tmp_path / "cut.mcr"
+        data.write_mcr(path, make_raster(2, 3, seed=17))
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(DataError, match="truncated header"):
+            data.read_mcr(path)
+
+    def test_oversized_plane_rejected_before_reading(self, tmp_path):
+        # 33 bytes declaring one 60000x60000 f32 plane (14.4 GB)
+        path = tmp_path / "huge.mcr"
+        path.write_bytes(b"MCR1" + struct.pack("<III", 1, 60000, 60000)
+                         + b"DSM".ljust(16, b"\0") + b"\x01")
+        assert path.stat().st_size == 33
+        with pytest.raises(DataError, match="truncated plane DSM"):
+            data.read_mcr(path)
+
 
 class TestPnm:
     def test_ppm_round_trip(self, tmp_path):
@@ -284,6 +302,19 @@ class TestPnm:
         img = np.random.default_rng(16).integers(0, 256, size=(4, 6)).astype(np.uint8)
         data.write_pgm(tmp_path / "x.pgm", img)
         np.testing.assert_array_equal(data.read_pgm(tmp_path / "x.pgm"), img)
+
+    @pytest.mark.parametrize("read, magic", [(data.read_ppm, b"P6"), (data.read_pgm, b"P5")])
+    @pytest.mark.parametrize("body, match", [
+        (b"", "expected"),
+        (b"\nabc 4\n255\n", "non-numeric"),
+        (b"\n-1 -1\n255\n\0\0\0", "negative extent"),
+        (b"\n60000 60000\n255\n", "truncated pixel data"),
+    ], ids=["empty", "non-numeric", "negative", "oversized"])
+    def test_malformed_rejected(self, tmp_path, read, magic, body, match):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(magic + body if body else b"")
+        with pytest.raises(DataError, match=match):
+            read(path)
 
 
 class TestSynth:

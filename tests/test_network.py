@@ -55,19 +55,12 @@ class TestConfig:
         assert cfg.auxiliary_filters == (64, 128, 256, 256, 256, 256, 256)
         assert cfg.decoder_filters == 300
         assert dict(cfg.sccb_dilations) == {5: 25, 11: 25}
-        assert cfg.sccb_conv1_filters == 6 and cfg.sccb_conv2_filters == 6
         assert cfg.input_scale_divisor == 6.0 and cfg.output_scale_divisor == 20.0
 
     def test_filter_list_length_checked(self):
         with pytest.raises(ConfigurationError):
             NetworkConfig(num_encoder_blocks=3, primary_filters=(8, 8), auxiliary_filters=(8, 8, 8),
                           decoder_filters=8, num_additional_residual_blocks=0, num_classes=2)
-
-    def test_decision_conv_width_checked(self):
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(num_encoder_blocks=1, primary_filters=(8,), auxiliary_filters=(8,),
-                          decoder_filters=8, num_additional_residual_blocks=0, num_classes=2,
-                          sccb_conv2_filters=3)
 
 
 class TestBuild:
@@ -204,6 +197,32 @@ class TestForward:
         m.forward(p, a, taps=taps)
         up = np.repeat(np.repeat(taps["decoder.block2.decisions_in"].data, 2, axis=2), 2, axis=3)
         np.testing.assert_array_equal(taps["decoder.block2.decisions_out"].data, up)
+
+
+class TestTapHook:
+    def test_recording_taps_leaves_output_bitwise_unchanged(self):
+        m = Model.build(NetworkConfig.desk(), 0)
+        p, a = rand_inputs(30)
+        plain = m.forward(p, a).data
+        taps = {}
+        assert m.forward(p, a, taps=taps).data.tobytes() == plain.tobytes()
+        assert len(taps) == 30
+
+    def test_zero_perturbation_everywhere_leaves_output_bitwise_unchanged(self):
+        m = Model.build(NetworkConfig.desk(), 0)
+        p, a = rand_inputs(31)
+        taps = {}
+        plain = m.forward(p, a, taps=taps).data
+        zeros = {name: np.zeros_like(t.data) for name, t in taps.items()}
+        assert m.forward(p, a, perturb=zeros).data.tobytes() == plain.tobytes()
+
+    def test_sccb_decisions_in_perturbation_reaches_output(self):
+        m = Model.build(NetworkConfig.desk(), 0)
+        p, a = rand_inputs(32)
+        plain = m.forward(p, a).data
+        bump = np.full((1, 6, 32, 32), 0.5, dtype=np.float32)
+        out = m.forward(p, a, perturb={"sccb.decisions_in": bump}).data
+        assert np.abs(out - plain).max() > 0
 
 
 class TestGating:

@@ -8,7 +8,7 @@ import pytest
 from orthoseg import autodiff as ad
 from orthoseg import checkpoint, network, trainer
 from orthoseg.config import RunConfig
-from orthoseg.errors import NumericalError, OrthosegError
+from orthoseg.errors import DataError, NumericalError, OrthosegError
 from orthoseg.network import Model
 from orthoseg.trainer import (PHASE_FINE_TUNING, PHASE_INITIAL, PlateauTracker,
                               TrainState, init_state, nesterov_step, on_plateau)
@@ -323,6 +323,24 @@ def test_state_from_checkpoint_rejects_bad_parameter(tmp_path, damage):
     checkpoint.save_checkpoint(path, header, tensors)
     with pytest.raises(OrthosegError, match="sccb.branch_d5.weight"):
         trainer.state_from_checkpoint(path, cfg.network_config())
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed"])
+@pytest.mark.parametrize("key", ["iteration", "phase", "lr", "momentum", "fine_tuning_momentum",
+                                 "fine_plateau_count", "unfrozen_blocks", "seed", "frozen",
+                                 "noiserates", "tracker", "noise_rng_state"])
+def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
+    cfg = desk_cfg()
+    path = str(tmp_path / "w.ckpt")
+    trainer.state_to_checkpoint(path, make_state(build_desk_model(), cfg), cfg.digest())
+    header, tensors = checkpoint.load_checkpoint(path)
+    trainer.state_from_tensors(header, tensors, cfg.network_config())
+    if damage == "missing":
+        del header[key]
+    else:
+        header[key] = None
+    with pytest.raises(DataError, match=repr(key)):
+        trainer.state_from_tensors(header, tensors, cfg.network_config())
 
 
 def test_digest_mismatch_rejected(tmp_path):
