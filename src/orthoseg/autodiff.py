@@ -459,14 +459,6 @@ def cross_entropy_loss(probs, labels):
     return _node(loss, (probs,), bwd)
 
 
-def cross_entropy_value(probs_data, labels):
-    """Forward-only cross entropy on raw arrays (validation evaluation)."""
-    n, c, h, w = probs_data.shape
-    idx = np.asarray(labels)[:, None, :, :].astype(np.int64)
-    ptrue = np.take_along_axis(probs_data, idx, axis=1)
-    return float(-np.log(np.maximum(ptrue, 1e-12)).sum() / (n * h * w))
-
-
 # ---------------------------------------------------------------------------
 # gradient verification
 

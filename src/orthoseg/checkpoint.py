@@ -115,7 +115,10 @@ def load_checkpoint(path):
             nbytes = math.prod(shape) * dt.itemsize
             if nbytes > left:
                 raise DataError(f"{path}: truncated payload for {name}")
-            arr = np.empty(shape, dtype=dt)
+            try:
+                arr = np.empty(shape, dtype=dt)
+            except ValueError as exc:  # zero-size, yet too many elements to index
+                raise DataError(f"{path}: unsupported extents {shape} for {name}") from exc
             if f.readinto(arr) != nbytes:
                 raise DataError(f"{path}: truncated payload for {name}")
             left -= nbytes

@@ -66,27 +66,24 @@ def cmd_prepare(args):
     tiles_dir = os.path.join(args.out, "tiles")
     os.makedirs(tiles_dir, exist_ok=True)
 
-    def tile_name(tid):
-        si, oi = tid
+    def tile_name(si, oi):
         r0, c0 = tilesets[si].origins[oi]
         return f"{_slug(tilesets[si].raster_id)}_r{r0}_c{c0}"
 
     manifest = {"tile_size": args.tile, "overlap": args.overlap,
                 "seed": args.seed, "train": [], "val": [], "dropped": []}
-    for tid in val_ids:
-        si, oi = tid
-        tile = data.extract_tile(rasters[si], tilesets[si], oi)
-        name = tile_name(tid)
+
+    def write_tile(split, name, tile):
         data.write_mcr(os.path.join(tiles_dir, f"{name}.mcr"), tile)
-        manifest["val"].append(name)
-    for tid in train_ids:
-        si, oi = tid
-        tile = data.extract_tile(rasters[si], tilesets[si], oi)
-        for k, rot in enumerate(data.rotate_augment(tile)):
-            name = f"{tile_name(tid)}_rot{90 * k}"
-            data.write_mcr(os.path.join(tiles_dir, f"{name}.mcr"), rot)
-            manifest["train"].append(name)
-    manifest["dropped"] = [tile_name(tid) for tid in dropped_ids]
+        manifest[split].append(name)
+
+    for si, oi in val_ids:
+        write_tile("val", tile_name(si, oi), data.extract_tile(rasters[si], tilesets[si], oi))
+    for si, oi in train_ids:
+        rots = data.rotate_augment(data.extract_tile(rasters[si], tilesets[si], oi))
+        for k, rot in enumerate(rots):
+            write_tile("train", f"{tile_name(si, oi)}_rot{90 * k}", rot)
+    manifest["dropped"] = [tile_name(si, oi) for si, oi in dropped_ids]
 
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -119,6 +116,7 @@ def _load_manifest(prepared_dir):
 
 def cmd_train(args):
     cfg = RunConfig.load(args.config)
+    net_cfg = cfg.network_config()
     prepared = args.data or cfg.data_dir
     if not prepared:
         raise ConfigurationError("no prepared data directory (set data_dir or pass --data)")
@@ -130,11 +128,10 @@ def cmd_train(args):
     model = None
     if args.resume:
         state, _ = trainer.state_from_checkpoint(
-            args.resume, cfg.network_config(),
-            expected_digest=cfg.digest(), override=args.override_digest)
+            args.resume, net_cfg, expected_digest=cfg.digest(), override=args.override_digest)
         print(f"resumed at iteration {state.iteration}")
     else:
-        model = Model.build(cfg.network_config(), seed=cfg.seed)
+        model = Model.build(net_cfg, seed=cfg.seed)
     state = trainer.train_loop(cfg, model, train_samples, val_samples,
                                args.out, state=state)
     train_acc = trainer.pixel_accuracy(state.model, train_samples)
@@ -167,12 +164,12 @@ def cmd_infer(args):
 def cmd_eval(args):
     pred = data.decode_label_colors(data.read_ppm(args.pred))
     truth = data.decode_label_colors(data.read_ppm(args.truth))
-    result = inference.evaluate(pred, truth)
+    report = inference.format_report(inference.evaluate(pred, truth))
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as f:
-        f.write(inference.format_report(result))
-    print(inference.format_report(result), end="")
+        f.write(report)
+    print(report, end="")
     return 0
 
 

@@ -16,6 +16,11 @@ from .errors import ConfigurationError
 from .network import NetworkConfig, NoiseRates
 
 
+def _rate_width(part):  # "rate:width" -> (rate, width)
+    rate, _, width = part.partition(":")
+    return int(rate), int(width)
+
+
 def _fmt(value):
     if isinstance(value, float):
         return repr(value)
@@ -105,21 +110,22 @@ class RunConfig:
 
     # -- derived objects --------------------------------------------------
 
+    def _list(self, key, parse=int):
+        """The comma-separated list held by ``key``, each item parsed."""
+        try:
+            return tuple(parse(v) for v in getattr(self, key).split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value for {key}: {exc}") from exc
+
     def network_config(self):
-        primary = tuple(int(v) for v in self.primary_filters.split(","))
-        auxiliary = tuple(int(v) for v in self.auxiliary_filters.split(","))
-        dilations = []
-        for part in self.sccb_dilations.split(","):
-            rate, _, nf = part.partition(":")
-            dilations.append((int(rate), int(nf)))
         return NetworkConfig(
             num_encoder_blocks=self.num_encoder_blocks,
-            primary_filters=primary,
-            auxiliary_filters=auxiliary,
+            primary_filters=self._list("primary_filters"),
+            auxiliary_filters=self._list("auxiliary_filters"),
             decoder_filters=self.decoder_filters,
             num_additional_residual_blocks=self.num_additional_residual_blocks,
             num_classes=self.num_classes,
-            sccb_dilations=tuple(dilations),
+            sccb_dilations=self._list("sccb_dilations", _rate_width),
             input_scale_divisor=self.input_scale_divisor,
             output_scale_divisor=self.output_scale_divisor,
         )

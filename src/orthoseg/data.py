@@ -9,6 +9,7 @@ accepted for optical and label planes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 
 OPTICAL_ROLES = ("IR", "R", "G", "B")
+INPUT_ROLES = OPTICAL_ROLES + ("DSM",)
 ALL_ROLES = ("IR", "R", "G", "B", "DSM", "NDVI", "LABEL")
 
 # canonical class palette (RGB), class index order
@@ -81,19 +83,16 @@ def write_mcr(path, raster):
     with open(path, "wb") as f:
         f.write(b"MCR1")
         f.write(struct.pack("<III", len(raster.channels), raster.height, raster.width))
-        order = list(raster.channels)
-        for role in order:
-            plane = raster.channels[role]
-            dt = np.dtype("u1") if plane.dtype == np.uint8 else np.dtype("<f4")
+        dtypes = {role: np.dtype("u1") if plane.dtype == np.uint8 else np.dtype("<f4")
+                  for role, plane in raster.channels.items()}
+        for role, dt in dtypes.items():
             name = role.encode("ascii")
             if len(name) > 16:
                 raise DataError(f"role name {role!r} exceeds 16 bytes")
             f.write(name.ljust(16, b"\0"))
             f.write(struct.pack("B", _CODE_FOR[dt]))
-        for role in order:
-            plane = raster.channels[role]
-            dt = np.dtype("u1") if plane.dtype == np.uint8 else np.dtype("<f4")
-            f.write(np.ascontiguousarray(plane, dtype=dt).tobytes())
+        for role, dt in dtypes.items():
+            f.write(np.ascontiguousarray(raster.channels[role], dtype=dt).tobytes())
 
 
 def _read_exact(f, n, what):
@@ -133,55 +132,51 @@ def read_mcr(path, raster_id=None):
 # PPM / PGM (binary, maxval 255)
 
 
-def _read_pnm_header(f, magic_expected):
-    magic = f.readline().split()[:1]
-    if magic != [magic_expected]:
-        raise DataError(f"{f.name}: expected {magic_expected.decode()}, got {magic!r}")
-    vals = []
-    while len(vals) < 3:
-        line = f.readline()
-        if not line:
-            raise DataError(f"{f.name}: truncated PNM header")
-        if line.lstrip().startswith(b"#"):
-            continue
+def _read_pnm(path, magic, pixel_shape):
+    """Pixels of a binary PNM, shaped (h, w) + ``pixel_shape``.  The header
+    is four whitespace-separated fields (magic, width, height, maxval) that
+    may share lines; ``#`` starts a comment that runs to the end of its line."""
+    with open(path, "rb") as f:
+        fields = []
+        while len(fields) < 4 and (line := f.readline()):
+            fields += line.split(b"#", 1)[0].split()
+        if fields[:1] != [magic]:
+            raise DataError(f"{path}: expected {magic.decode()}, got {fields[:1]!r}")
+        if len(fields) != 4:
+            raise DataError(f"{path}: PNM header has {len(fields)} fields, not 4")
         try:
-            vals.extend(int(v) for v in line.split())
+            w, h, maxval = (int(v) for v in fields[1:])
         except ValueError as exc:
-            raise DataError(f"{f.name}: non-numeric PNM header field in {line!r}") from exc
-    w, h, maxval = vals[:3]
-    if maxval != 255:
-        raise DataError(f"{f.name}: only maxval 255 supported, got {maxval}")
-    if w < 0 or h < 0:
-        raise DataError(f"{f.name}: negative extent {w}x{h}")
-    return w, h
+            raise DataError(f"{path}: non-numeric PNM header field in {fields[1:]!r}") from exc
+        if maxval != 255:
+            raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
+        if w < 0 or h < 0:
+            raise DataError(f"{path}: negative extent {w}x{h}")
+        buf = _read_exact(f, w * h * math.prod(pixel_shape), "pixel data")
+        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, *pixel_shape).copy()
+
+
+def _write_pnm(path, magic, pixels):
+    h, w = pixels.shape[:2]
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n255\n" % (magic, w, h))
+        f.write(np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
 
 
 def read_ppm(path):
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P6")
-        buf = _read_exact(f, w * h * 3, "pixel data")
-        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _read_pnm(path, b"P6", (3,))
 
 
 def write_ppm(path, rgb):
-    h, w, _ = rgb.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(rgb, dtype=np.uint8).tobytes())
+    _write_pnm(path, b"P6", rgb)
 
 
 def read_pgm(path):
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P5")
-        buf = _read_exact(f, w * h, "pixel data")
-        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w).copy()
+    return _read_pnm(path, b"P5", ())
 
 
 def write_pgm(path, gray):
-    h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(gray, dtype=np.uint8).tobytes())
+    _write_pnm(path, b"P5", gray)
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +306,36 @@ def downsample2_mean(plane):
     return plane.reshape(*plane.shape[:-2], h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
 
 
-def assemble_inputs(tile):
-    """Tile raster -> (primary 3xh/2xw/2, auxiliary 3xh/2xw/2, label, label_half).
+def network_inputs(planes):
+    """Channel planes -> (primary 3xh/2xw/2, auxiliary 3xh/2xw/2), float32.
 
     Primary carries normalized IR-R-G; auxiliary carries normalized B, NDVI
-    and normalized DSM; both are 2x2 stride-2 mean downsampled.  The label is
-    kept at full resolution plus a nearest-neighbor half-resolution copy.
+    and normalized DSM; both are 2x2 stride-2 mean downsampled.
     """
-    for role in ("IR", "R", "G", "B", "DSM", "LABEL"):
-        if role not in tile.channels:
-            raise DataError(f"tile {tile.raster_id!r} missing role {role}")
-    primary = np.stack([normalize_optical(tile.channels[r]) for r in ("IR", "R", "G")])
+    for role in INPUT_ROLES:
+        if role not in planes:
+            raise DataError(f"missing role {role}")
+    primary = np.stack([normalize_optical(planes[r]) for r in ("IR", "R", "G")])
     auxiliary = np.stack([
-        normalize_optical(tile.channels["B"]),
-        compute_ndvi(tile.channels["IR"], tile.channels["R"]),
-        normalize_dsm(tile.channels["DSM"]),
+        normalize_optical(planes["B"]),
+        compute_ndvi(planes["IR"], planes["R"]),
+        normalize_dsm(planes["DSM"]),
     ])
-    primary = downsample2_mean(primary).astype(np.float32)
-    auxiliary = downsample2_mean(auxiliary).astype(np.float32)
+    return downsample2_mean(primary).astype(np.float32), downsample2_mean(auxiliary).astype(np.float32)
+
+
+def assemble_inputs(tile):
+    """Tile raster -> (primary, auxiliary, label, label_half): the
+    ``network_inputs`` of its planes, the label at full resolution and a
+    nearest-neighbor half-resolution copy."""
+    if "LABEL" not in tile.channels:
+        raise DataError(f"tile {tile.raster_id!r} missing role LABEL")
+    try:
+        primary, auxiliary = network_inputs(tile.channels)
+    except DataError as exc:
+        raise DataError(f"tile {tile.raster_id!r}: {exc}") from exc
     label = tile.channels["LABEL"].astype(np.int64)
-    label_half = label[::2, ::2]
-    return primary, auxiliary, label, label_half
+    return primary, auxiliary, label, label[::2, ::2]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data
 from .errors import ConfigurationError
 
@@ -45,11 +46,11 @@ class StitchPlan:
 def _axis_coverage(origins, center, extent):
     counts = np.zeros(extent, dtype=np.int64)
     for o in origins:
-        counts[max(o, 0):min(o + center, extent)] += 1
+        counts[o:o + center] += 1
     return counts
 
 
-def _axis_plan(extent, tile, stride, center, margin):
+def _axis_plan(extent, tile, stride, margin):
     pad_before = margin
     pad_after = max(margin, tile - margin - extent)
     padded = extent + pad_before + pad_after
@@ -65,8 +66,8 @@ def plan_stitch(height, width, tile=1024, stride=256, center=512):
     if stride > center:
         raise ConfigurationError("stride larger than center region leaves gaps")
     margin = (tile - center) // 2
-    pad_rows, row_origins = _axis_plan(height, tile, stride, center, margin)
-    pad_cols, col_origins = _axis_plan(width, tile, stride, center, margin)
+    pad_rows, row_origins = _axis_plan(height, tile, stride, margin)
+    pad_cols, col_origins = _axis_plan(width, tile, stride, margin)
     return StitchPlan(height=height, width=width, tile=tile, stride=stride,
                       center=center, margin=margin, pad_rows=pad_rows,
                       pad_cols=pad_cols, row_origins=row_origins,
@@ -75,11 +76,6 @@ def plan_stitch(height, width, tile=1024, stride=256, center=512):
 
 # ---------------------------------------------------------------------------
 # prediction
-
-
-def upsample2_nearest(probs):
-    """(C, h, w) -> (C, 2h, 2w) by pixel duplication."""
-    return probs.repeat(2, axis=-2).repeat(2, axis=-1)
 
 
 def stitch_predict(predict_crop, planes, plan):
@@ -93,9 +89,8 @@ def stitch_predict(predict_crop, planes, plan):
         role: np.pad(plane, (plan.pad_rows, plan.pad_cols), mode="symmetric")
         for role, plane in planes.items()
     }
-    m, c = plan.margin, plan.center
+    m = plan.margin
     acc = None
-    counts = np.zeros((plan.height, plan.width), dtype=np.int64)
     for r0 in plan.row_origins:
         for c0 in plan.col_origins:
             crop = {role: p[r0:r0 + plan.tile, c0:c0 + plan.tile]
@@ -103,13 +98,12 @@ def stitch_predict(predict_crop, planes, plan):
             probs = np.asarray(predict_crop(crop), dtype=np.float64)
             if acc is None:
                 acc = np.zeros((probs.shape[0], plan.height, plan.width))
-            # crop center in raster coordinates (pad_before == margin)
-            rr = slice(max(r0, 0), min(r0 + c, plan.height))
-            cc = slice(max(c0, 0), min(c0 + c, plan.width))
-            acc[:, rr, cc] += probs[:, m + rr.start - r0:m + rr.stop - r0,
-                                    m + cc.start - c0:m + cc.stop - c0]
-            counts[rr, cc] += 1
-    acc /= counts
+            # the crop's center starts at raster pixel (r0, c0), since
+            # pad_before == margin; it is cut where it overhangs the raster
+            rows = min(plan.center, plan.height - r0)
+            cols = min(plan.center, plan.width - c0)
+            acc[:, r0:r0 + rows, c0:c0 + cols] += probs[:, m:m + rows, m:m + cols]
+    acc /= plan.coverage_counts()
     return acc
 
 
@@ -121,14 +115,9 @@ def model_crop_predictor(model):
     probabilities back up to crop resolution.
     """
     def predict(crop_planes):
-        channels = dict(crop_planes)
-        t = channels["IR"].shape[0]
-        channels.setdefault("LABEL", np.zeros((t, t), dtype=np.uint8))
-        channels.pop("NDVI", None)
-        tile = data.Raster(channels=channels, raster_id="crop")
-        primary, auxiliary, _, _ = data.assemble_inputs(tile)
+        primary, auxiliary = data.network_inputs(crop_planes)
         probs = model.forward(primary[None], auxiliary[None], training=False)
-        return upsample2_nearest(probs.data[0])
+        return ad.upsample2(probs).data[0]
     return predict
 
 
@@ -139,8 +128,7 @@ def infer_full_raster(model, raster, tile=1024, stride=256, center=512):
     class index.
     """
     plan = plan_stitch(raster.height, raster.width, tile, stride, center)
-    planes = {role: plane for role, plane in raster.channels.items()
-              if role in ("IR", "R", "G", "B", "DSM")}
+    planes = {r: p for r, p in raster.channels.items() if r in data.INPUT_ROLES}
     probs = stitch_predict(model_crop_predictor(model), planes, plan)
     labels = probs.argmax(axis=0).astype(np.int64)
     return probs, labels

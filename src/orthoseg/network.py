@@ -15,13 +15,14 @@ Gradient-flow rules realized here:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, OrthosegError
+from .errors import ConfigurationError, DataError, OrthosegError
 
 
 @dataclass
@@ -86,9 +87,9 @@ class NetworkConfig:
     decoder_filters: int
     num_additional_residual_blocks: int
     num_classes: int
-    sccb_dilations: tuple = ((5, 25), (11, 25))
-    input_scale_divisor: float = 6.0
-    output_scale_divisor: float = 20.0
+    sccb_dilations: tuple
+    input_scale_divisor: float
+    output_scale_divisor: float
 
     # fixed by the architecture, not configurable
     input_channels = 3
@@ -96,12 +97,20 @@ class NetworkConfig:
     decoder_dilation = 2
 
     def __post_init__(self):
-        if len(self.primary_filters) != self.num_encoder_blocks:
-            raise ConfigurationError("primary_filters length must equal num_encoder_blocks")
-        if len(self.auxiliary_filters) != self.num_encoder_blocks:
-            raise ConfigurationError("auxiliary_filters length must equal num_encoder_blocks")
+        for key in ("primary_filters", "auxiliary_filters"):
+            if len(getattr(self, key)) != self.num_encoder_blocks:
+                raise ConfigurationError(f"{key} length must equal num_encoder_blocks")
         if self.num_encoder_blocks < 1 or self.num_classes < 1:
             raise ConfigurationError("need at least one encoder block and one class")
+        # filter counts, SCCB dilation rates and branch widths
+        for key, values in (("primary_filters", self.primary_filters),
+                            ("auxiliary_filters", self.auxiliary_filters),
+                            ("decoder_filters", (self.decoder_filters,)),
+                            ("sccb_dilations", sum(self.sccb_dilations, ()))):
+            if min(values, default=1) < 1:
+                raise ConfigurationError(f"{key} values must be at least 1, got {values}")
+        if not (self.input_scale_divisor > 0 and self.output_scale_divisor > 0):
+            raise ConfigurationError("scale divisors must be positive")
 
     @classmethod
     def benchmark(cls):
@@ -190,21 +199,19 @@ def param_layout(cfg):
                 add_conv(f"encoder.{side}.block{b}.conv{i}", out_ch, in_ch, 3)
                 in_ch = out_ch
 
+    def add_refine(prefix, feat_ch):  # feat_ch features + both branches' input and sub-map
+        add_conv(f"{prefix}.conv1", cfg.decoder_filters, feat_ch + 2 * cfg.input_channels * 2, 3)
+        add_conv(f"{prefix}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
+        add_conv(f"{prefix}.decision", cfg.num_classes, cfg.decoder_filters, 1)
+
     e = cfg.num_encoder_blocks
     feat_in = cfg.primary_filters[-1] + cfg.auxiliary_filters[-1]
     for j in range(1, e + 1):
-        skip_ch = cfg.primary_filters[e - j] + cfg.auxiliary_filters[e - j]
-        cat_ch = feat_in + skip_ch + 2 * cfg.input_channels * 2
-        add_conv(f"decoder.block{j}.conv1", cfg.decoder_filters, cat_ch, 3)
-        add_conv(f"decoder.block{j}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
-        add_conv(f"decoder.block{j}.decision", cfg.num_classes, cfg.decoder_filters, 1)
+        add_refine(f"decoder.block{j}",
+                   feat_in + cfg.primary_filters[e - j] + cfg.auxiliary_filters[e - j])
         feat_in = cfg.decoder_filters
-
     for r in range(1, cfg.num_additional_residual_blocks + 1):
-        cat_ch = cfg.decoder_filters + 2 * cfg.input_channels * 2
-        add_conv(f"residual.block{r}.conv1", cfg.decoder_filters, cat_ch, 3)
-        add_conv(f"residual.block{r}.conv2", cfg.decoder_filters, cfg.decoder_filters, 3)
-        add_conv(f"residual.block{r}.decision", cfg.num_classes, cfg.decoder_filters, 1)
+        add_refine(f"residual.block{r}", cfg.decoder_filters)
 
     sccb_in = cfg.num_classes + cfg.decoder_filters
     branch_total = 0
@@ -243,9 +250,9 @@ class Model:
         params = ModelParams()
         for name, shape in param_layout(config):
             if name not in arrays:
-                raise OrthosegError(f"missing parameter {name}")
+                raise DataError(f"missing parameter {name}")
             if arrays[name].shape != shape:
-                raise OrthosegError(
+                raise DataError(
                     f"shape mismatch for {name}: {arrays[name].shape} != {shape}")
             params.add(name, Tensor(np.asarray(arrays[name], dtype=np.float32)))
         return cls(config, params)
@@ -260,11 +267,8 @@ class Model:
         instrumentation.  ``perturb``: optional dict tap-name -> array added
         at that point (forward-sensitivity probes).
         """
-        if record_graph is None:
-            record_graph = training
-        if record_graph:
-            return self._forward(primary, auxiliary, training, rng, noiserates, taps, perturb)
-        with ad.no_grad():
+        record = training if record_graph is None else record_graph
+        with contextlib.nullcontext() if record else ad.no_grad():
             return self._forward(primary, auxiliary, training, rng, noiserates, taps, perturb)
 
     def _forward(self, primary, auxiliary, training, rng, rates, taps, perturb):
@@ -291,8 +295,9 @@ class Model:
         def conv(x, name, dilation=1):
             return ad.conv2d(x, p[f"{name}.weight"], p[f"{name}.bias"], dilation=dilation, padding="same")
 
-        def noise(x, region, channels=None):
-            return ad.dmgn(x, rates.rate(region, channels), training, rng)
+        def noise(x, region):
+            """DMGN at ``region``'s rate for the channel count of ``x``."""
+            return ad.dmgn(x, rates.rate(region, x.data.shape[1]), training, rng)
 
         def tap(name, tensor):
             """The one instrumentation point: adds ``perturb[name]`` when
@@ -303,6 +308,16 @@ class Model:
                 taps[name] = tensor
             return tensor
 
+        def refine(prefix, cat, region, decis):
+            """Dilated conv over ``cat``, ``region`` noise, dilated conv, then a 1x1
+            decision correction added to ``decis``; returns (features, decisions)."""
+            h1 = ad.elu(conv(ad.concat_channels(cat), f"{prefix}.conv1", cfg.decoder_dilation))
+            h1 = noise(h1, region)
+            feats = tap(f"{prefix}.features_out",
+                        ad.elu(conv(h1, f"{prefix}.conv2", cfg.decoder_dilation)))
+            corr = conv(feats, f"{prefix}.decision")
+            return feats, tap(f"{prefix}.decisions_out", ad.add(decis, corr))
+
         # per-block raw-input feeds: the input pyramid and its 5x5 high-pass
         # sub-maps, built once per forward since they depend only on the input
         net_input = ad.concat_channels([primary, auxiliary])
@@ -312,22 +327,21 @@ class Model:
         sub_maps = {lvl: ad.sub(inp, ad.avg_pool(inp, 5, stride=1, padding="same"))
                     for lvl, inp in pyramid.items()}
 
-        def encode(side, filters, x):
+        def encode(side, x):
             skips = []
             for b in range(1, e + 1):
-                ch = filters[b - 1]
                 for i in range(1, cfg.conv_layers_in_block(b) + 1):
                     if b >= 4 and i > 1:
-                        x = noise(x, "encoder", x.data.shape[1])
+                        x = noise(x, "encoder")
                     x = ad.elu(conv(x, f"encoder.{side}.block{b}.conv{i}"))
                 x = tap(f"encoder.{side}.block{b}.pre_pool", x)
                 skips.append(x)
                 x = ad.max_pool2(x)
-                x = noise(x, "encoder", ch)
+                x = noise(x, "encoder")
             return skips, x
 
-        p_skips, p_bott = encode("primary", cfg.primary_filters, primary)
-        a_skips, a_bott = encode("auxiliary", cfg.auxiliary_filters, auxiliary)
+        p_skips, p_bott = encode("primary", primary)
+        a_skips, a_bott = encode("auxiliary", auxiliary)
 
         bottleneck = ad.concat_channels([p_bott, a_bott])
         feats = ad.scale_const(bottleneck, 1.0 / cfg.input_scale_divisor)
@@ -341,38 +355,19 @@ class Model:
             if j > 1:
                 f_up = ad.stop_gradient(f_up)
             d_up = ad.upsample2(decis)
-            scaled_input, sub_map = pyramid[1 << (e - j)], sub_maps[1 << (e - j)]
-            skip_p, skip_a = p_skips[e - j], a_skips[e - j]
-            cat = ad.concat_channels([
-                noise(f_up, "decoder", f_up.data.shape[1]),
-                noise(skip_p, "decoder", skip_p.data.shape[1]),
-                noise(skip_a, "decoder", skip_a.data.shape[1]),
-                scaled_input,
-                sub_map,
-            ])
-            h1 = ad.elu(conv(cat, f"decoder.block{j}.conv1", cfg.decoder_dilation))
-            h1 = noise(h1, "decoder", h1.data.shape[1])
-            feats = tap(f"decoder.block{j}.features_out",
-                        ad.elu(conv(h1, f"decoder.block{j}.conv2", cfg.decoder_dilation)))
-            corr = conv(feats, f"decoder.block{j}.decision")
-            decis = tap(f"decoder.block{j}.decisions_out", ad.add(d_up, corr))
+            feats, decis = refine(f"decoder.block{j}", [
+                noise(f_up, "decoder"), noise(p_skips[e - j], "decoder"),
+                noise(a_skips[e - j], "decoder"), pyramid[1 << (e - j)], sub_maps[1 << (e - j)],
+            ], "decoder", d_up)
 
         decis = ad.scale_const(decis, 1.0 / cfg.output_scale_divisor)
 
         for r in range(1, cfg.num_additional_residual_blocks + 1):
             feats = tap(f"residual.block{r}.features_in", feats)
             f_gated = tap(f"residual.block{r}.features_gated", ad.stop_gradient(feats))
-            cat = ad.concat_channels([
-                ad.dmgn(f_gated, rates.rate("residual"), training, rng),
-                pyramid[1],
-                sub_maps[1],
-            ])
-            h1 = ad.elu(conv(cat, f"residual.block{r}.conv1", cfg.decoder_dilation))
-            h1 = ad.dmgn(h1, rates.rate("residual"), training, rng)
-            feats = tap(f"residual.block{r}.features_out",
-                        ad.elu(conv(h1, f"residual.block{r}.conv2", cfg.decoder_dilation)))
-            corr = conv(feats, f"residual.block{r}.decision")
-            decis = tap(f"residual.block{r}.decisions_out", ad.add(decis, corr))
+            feats, decis = refine(f"residual.block{r}",
+                                  [noise(f_gated, "residual"), pyramid[1], sub_maps[1]],
+                                  "residual", decis)
 
         # SCCB: fully gated side branch, ungated residual identity
         feats = tap("sccb.features_in", feats)
@@ -384,7 +379,7 @@ class Model:
         branches = []
         for rate, _nf in cfg.sccb_dilations:
             br = ad.elu(conv(pooled, f"sccb.branch_d{rate}", dilation=rate))
-            branches.append(ad.dmgn(br, rates.rate("sccb"), training, rng))
+            branches.append(noise(br, "sccb"))
         cat = ad.concat_channels(branches + [d_gated])
         h1 = ad.elu(conv(cat, "sccb.conv1"))
         corr = conv(h1, "sccb.conv2")

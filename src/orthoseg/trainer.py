@@ -175,7 +175,7 @@ def state_from_tensors(header, tensors, network_config):
             if not isinstance(v := header[key], kind):
                 raise TypeError(kind.__name__)
             return parse(v)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataError(f"checkpoint header: missing or malformed {key!r}") from exc
 
     model = Model.from_arrays(network_config, {
@@ -206,21 +206,24 @@ def _epoch_index(seed, epoch, n, pos):
     return int(order[pos])
 
 
+def _eval_forwards(model, samples):
+    """(class probabilities, half-resolution label) per sample, without noise."""
+    for primary, auxiliary, label_half in samples:
+        yield model.forward(primary[None], auxiliary[None], training=False), label_half
+
+
 def validation_loss(model, val_samples):
-    """Mean cross entropy over ``val_samples``; eval mode adds no noise."""
+    """Mean cross entropy over ``val_samples``."""
     total = 0.0
-    for primary, auxiliary, label_half in val_samples:
-        probs = model.forward(primary[None], auxiliary[None], training=False)
-        total += ad.cross_entropy_value(probs.data, label_half[None])
+    for probs, label_half in _eval_forwards(model, val_samples):
+        total += float(ad.cross_entropy_loss(probs, label_half[None]).data)
     return total / len(val_samples)
 
 
 def pixel_accuracy(model, samples):
     correct = total = 0
-    for primary, auxiliary, label_half in samples:
-        probs = model.forward(primary[None], auxiliary[None], training=False)
-        pred = probs.data.argmax(axis=1)[0]
-        correct += int((pred == label_half).sum())
+    for probs, label_half in _eval_forwards(model, samples):
+        correct += int((probs.data.argmax(axis=1)[0] == label_half).sum())
         total += label_half.size
     return correct / total
 

@@ -105,6 +105,15 @@ def test_malformed_container_raises_data_error(tmp_path, blob, records, count, m
         ckpt.load_checkpoint(str(path))
 
 
+def test_zero_size_extents_beyond_numpy_rejected(tmp_path):
+    # zero bytes of payload, but more elements than numpy can index
+    path = tmp_path / "zero.ckpt"
+    record = struct.pack("<H", 1) + b"w" + struct.pack("<BB4I", 1, 4, 0, *[2**32 - 1] * 3)
+    path.write_bytes(raw_checkpoint(b"{}", record, 1))
+    with pytest.raises(DataError, match="unsupported extents"):
+        ckpt.load_checkpoint(str(path))
+
+
 def test_oversized_extent_rejected_before_allocating(tmp_path):
     path = tmp_path / "huge.ckpt"
     record = struct.pack("<H", 1) + b"w" + struct.pack("<BBII", 1, 2, 60000, 60000)

@@ -181,3 +181,24 @@ def test_checkpoint_without_train_state_exits_data_code(pipeline, tmp_path, caps
                 "--out", str(tmp_path / "x")])
     assert code == 3
     assert "error code=3 kind=DataError" in capsys.readouterr().err
+
+
+def test_checkpoint_missing_parameter_exits_data_code(pipeline, tmp_path, capsys):
+    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    del tensors["param:sccb.conv2.bias"]
+    ckpt = str(tmp_path / "no_bias.ckpt")
+    checkpoint.save_checkpoint(ckpt, header, tensors)
+    code = run(["infer", "--ckpt", ckpt, "--image", "/nonexistent.mcr",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error code=3 kind=DataError: missing parameter sccb.conv2.bias" in capsys.readouterr().err
+
+
+def test_malformed_network_setting_exits_config_code(pipeline, tmp_path, capsys):
+    cfg = RunConfig.desk(tile_size=32, max_iterations=1, primary_filters="16,abc,64",
+                         data_dir=os.path.join(pipeline["root"], "prep"))
+    cfg_path = str(tmp_path / "bad.cfg")
+    cfg.save(cfg_path)
+    code = run(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "error code=2 kind=ConfigurationError: bad value for primary_filters" in capsys.readouterr().err

@@ -85,3 +85,26 @@ def test_noiserates_bucketing():
     assert nr.rate("encoder", 512) == 0.25
     assert nr.rate("sccb") == 0.0625
     assert nr.rate("residual") == 0.0625
+
+
+@pytest.mark.parametrize("line, key", [
+    ("primary_filters=", "primary_filters"),
+    ("primary_filters=64,abc,256,512,512,512,512", "primary_filters"),
+    ("auxiliary_filters=64,128,256,256,256,256,2.5", "auxiliary_filters"),
+    ("sccb_dilations=5", "sccb_dilations"),
+    ("sccb_dilations=5:25:1", "sccb_dilations"),
+    ("decoder_filters=-3", "decoder_filters"),
+    ("decoder_filters=0", "decoder_filters"),
+    ("num_encoder_blocks=3\nprimary_filters=16,0,64\nauxiliary_filters=16,32,32",
+     "primary_filters"),
+    ("sccb_dilations=0:25", "sccb_dilations"),
+    ("sccb_dilations=5:-1", "sccb_dilations"),
+    ("input_scale_divisor=0.0", "divisor"),
+    ("output_scale_divisor=nan", "divisor"),
+], ids=["empty", "non-numeric", "non-integer", "rate-only", "three-fields", "negative",
+        "zero-decoder", "zero-filter", "zero-rate", "negative-width", "zero-divisor",
+        "nan-divisor"])
+def test_malformed_network_settings_rejected(line, key):
+    cfg = RunConfig.parse(line)
+    with pytest.raises(ConfigurationError, match=key):
+        cfg.network_config()

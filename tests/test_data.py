@@ -166,6 +166,20 @@ class TestAssemble:
         with pytest.raises(DataError):
             data.assemble_inputs(tile)
 
+    def test_network_inputs_are_assembled_inputs(self):
+        tile = make_raster(8, 8, seed=3)
+        primary, auxiliary = data.network_inputs(tile.channels)
+        want = data.assemble_inputs(tile)
+        np.testing.assert_array_equal(primary, want[0])
+        np.testing.assert_array_equal(auxiliary, want[1])
+
+    @pytest.mark.parametrize("role", ["IR", "R", "G", "B", "DSM"])
+    def test_network_inputs_missing_plane_rejected(self, role):
+        planes = dict(make_raster(8, 8).channels)
+        del planes[role]
+        with pytest.raises(DataError, match=f"missing role {role}"):
+            data.network_inputs(planes)
+
 
 def split_oracle(tilesets, val_ids, tile):
     dropped = []
@@ -302,6 +316,20 @@ class TestPnm:
         img = np.random.default_rng(16).integers(0, 256, size=(4, 6)).astype(np.uint8)
         data.write_pgm(tmp_path / "x.pgm", img)
         np.testing.assert_array_equal(data.read_pgm(tmp_path / "x.pgm"), img)
+
+    @pytest.mark.parametrize("read, header, pixels", [
+        (data.read_ppm, b"P6 2 1 255\n", [[[1, 2, 3], [4, 5, 6]]]),
+        (data.read_pgm, b"P5 2 1 255\n", [[7, 8]]),
+    ], ids=["ppm", "pgm"])
+    def test_single_line_header(self, tmp_path, read, header, pixels):
+        path = tmp_path / "one.pnm"
+        path.write_bytes(header + np.array(pixels, dtype=np.uint8).tobytes())
+        np.testing.assert_array_equal(read(path), pixels)
+
+    def test_comments_and_split_fields(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# a comment\n2 # width\n# another\n1\n255\n\x07\x08")
+        np.testing.assert_array_equal(data.read_pgm(path), [[7, 8]])
 
     @pytest.mark.parametrize("read, magic", [(data.read_ppm, b"P6"), (data.read_pgm, b"P5")])
     @pytest.mark.parametrize("body, match", [

@@ -7,8 +7,7 @@ from orthoseg import data, inference
 from orthoseg.config import RunConfig
 from orthoseg.errors import ConfigurationError
 from orthoseg.inference import (evaluate, format_report, infer_full_raster,
-                                plan_stitch, stitch_predict, upsample2_nearest,
-                                write_report)
+                                plan_stitch, stitch_predict, write_report)
 from orthoseg.network import Model
 
 
@@ -108,12 +107,6 @@ def test_stub_sees_crop_content():
     assert np.array_equal(seen[0], base[0:64, 0:64])
     r1 = plan.row_origins[1]
     assert np.array_equal(seen[len(plan.col_origins)], base[r1:r1 + 64, 0:64])
-
-
-def test_upsample2_nearest():
-    x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    up = upsample2_nearest(x)
-    assert np.array_equal(up[0], [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
 
 
 def make_raster(size, seed=0):

@@ -60,7 +60,9 @@ class TestConfig:
     def test_filter_list_length_checked(self):
         with pytest.raises(ConfigurationError):
             NetworkConfig(num_encoder_blocks=3, primary_filters=(8, 8), auxiliary_filters=(8, 8, 8),
-                          decoder_filters=8, num_additional_residual_blocks=0, num_classes=2)
+                          decoder_filters=8, num_additional_residual_blocks=0, num_classes=2,
+                          sccb_dilations=((5, 25), (11, 25)), input_scale_divisor=6.0,
+                          output_scale_divisor=20.0)
 
 
 class TestBuild:
@@ -74,7 +76,9 @@ class TestBuild:
     def test_degenerate_one_block_one_class_rejected_softmax(self):
         # single class cannot feed a softmax; two classes is the smallest legal net
         cfg = NetworkConfig(num_encoder_blocks=1, primary_filters=(4,), auxiliary_filters=(4,),
-                            decoder_filters=4, num_additional_residual_blocks=0, num_classes=2)
+                            decoder_filters=4, num_additional_residual_blocks=0, num_classes=2,
+                            sccb_dilations=((5, 25), (11, 25)), input_scale_divisor=6.0,
+                            output_scale_divisor=20.0)
         m = Model.build(cfg, 0)
         p, a = rand_inputs(0, size=4)
         out = m.forward(p, a)

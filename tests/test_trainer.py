@@ -214,11 +214,11 @@ def test_training_reduces_loss(tmp_path):
     label = np.zeros((16, 16), dtype=np.int64)
     samples = [(primary, auxiliary, label)]
     model = Model.build(cfg.network_config(), seed=0)
-    before = ad.cross_entropy_value(
-        model.forward(primary[None], auxiliary[None]).data, label[None])
+    before = float(ad.cross_entropy_loss(
+        model.forward(primary[None], auxiliary[None]), label[None]).data)
     state = trainer.train_loop(cfg, model, samples, samples, str(tmp_path / "o"))
-    after = ad.cross_entropy_value(
-        state.model.forward(primary[None], auxiliary[None]).data, label[None])
+    after = float(ad.cross_entropy_loss(
+        state.model.forward(primary[None], auxiliary[None]), label[None]).data)
     assert after < before
 
 
@@ -340,6 +340,17 @@ def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
     else:
         header[key] = None
     with pytest.raises(DataError, match=repr(key)):
+        trainer.state_from_tensors(header, tensors, cfg.network_config())
+
+
+@pytest.mark.parametrize("value", [-1, 2**200], ids=["negative", "too-large"])
+def test_state_from_tensors_rejects_out_of_range_rng_state(tmp_path, value):
+    cfg = desk_cfg()
+    path = str(tmp_path / "w.ckpt")
+    trainer.state_to_checkpoint(path, make_state(build_desk_model(), cfg), cfg.digest())
+    header, tensors = checkpoint.load_checkpoint(path)
+    header["noise_rng_state"]["state"]["state"] = value
+    with pytest.raises(DataError, match="'noise_rng_state'"):
         trainer.state_from_tensors(header, tensors, cfg.network_config())
 
 
