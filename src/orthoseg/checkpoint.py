@@ -18,7 +18,6 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,36 +131,3 @@ def check_digest(header, expected_digest, override=False):
         raise ConfigurationError(
             f"checkpoint config digest {got} does not match run config "
             f"{expected_digest} (pass the override flag to force)")
-
-
-@dataclass
-class ImportReport:
-    imported: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)  # (name, reason)
-
-
-def import_weights(params, ckpt_path, name_map=None):
-    """Copy shape-compatible parameter tensors from a checkpoint by mapped
-    name; skipped entries are reported, not fatal."""
-    _, tensors = load_checkpoint(ckpt_path)
-    report = ImportReport()
-    for key, arr in tensors.items():
-        if not key.startswith("param:"):
-            continue
-        name = key[len("param:"):]
-        mapped = name
-        if name_map:
-            for src, dst in name_map.items():
-                if mapped.startswith(src):
-                    mapped = dst + mapped[len(src):]
-                    break
-        if mapped not in params:
-            report.skipped.append((name, "no matching parameter"))
-            continue
-        target = params[mapped]
-        if target.data.shape != arr.shape:
-            report.skipped.append((name, f"shape {arr.shape} != {target.data.shape}"))
-            continue
-        target.data[...] = arr.astype(target.data.dtype)
-        report.imported.append(mapped)
-    return report

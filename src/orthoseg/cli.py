@@ -147,10 +147,15 @@ def cmd_train(args):
 
 def cmd_infer(args):
     header, tensors = checkpoint.load_checkpoint(args.ckpt)
-    if not header.get("config_text"):
-        raise DataError(f"{args.ckpt}: header carries no run config")
-    cfg = RunConfig.parse(header["config_text"])
-    state = trainer.state_from_tensors(header, tensors, cfg.network_config())
+    text = header.get("config_text")
+    if not text or not isinstance(text, str):
+        raise DataError(f"{args.ckpt}: header carries no run config text")
+    try:  # the fault is in the checkpoint file, not in a config the user wrote
+        cfg = RunConfig.parse(text)
+        net_cfg = cfg.network_config()
+    except ConfigurationError as exc:
+        raise DataError(f"{args.ckpt}: stored run config: {exc}") from exc
+    state = trainer.state_from_tensors(header, tensors, net_cfg)
     raster = data.read_mcr(args.image)
     tile = cfg.tile_size
     probs, labels = inference.infer_full_raster(

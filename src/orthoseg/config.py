@@ -21,12 +21,6 @@ def _rate_width(part):  # "rate:width" -> (rate, width)
     return int(rate), int(width)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass
 class RunConfig:
     # network architecture
@@ -70,7 +64,7 @@ class RunConfig:
     # -- text form --------------------------------------------------------
 
     def serialize(self):
-        lines = [f"{f.name}={_fmt(getattr(self, f.name))}" for f in sorted(fields(self), key=lambda f: f.name)]
+        lines = [f"{f.name}={getattr(self, f.name)}" for f in sorted(fields(self), key=lambda f: f.name)]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -3,13 +3,12 @@ the synthetic multimodal dataset used for desk-scale verification.
 
 Channel roles: IR, R, G, B (8-bit reflectance), DSM (float metres),
 LABEL (class indices).  NDVI is derived on the fly from raw IR and R.
-The on-disk container is MCR (see read_mcr/write_mcr); 8-bit PPM/PGM are
-accepted for optical and label planes.
+The on-disk container is MCR (see read_mcr/write_mcr); colorized label
+images are binary 8-bit PPM (see read_ppm/write_ppm).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -129,54 +128,38 @@ def read_mcr(path, raster_id=None):
 
 
 # ---------------------------------------------------------------------------
-# PPM / PGM (binary, maxval 255)
+# PPM (binary, maxval 255)
 
 
-def _read_pnm(path, magic, pixel_shape):
-    """Pixels of a binary PNM, shaped (h, w) + ``pixel_shape``.  The header
-    is four whitespace-separated fields (magic, width, height, maxval) that
-    may share lines; ``#`` starts a comment that runs to the end of its line."""
+def read_ppm(path):
+    """(h, w, 3) uint8 pixels of a binary PPM.  The header is four
+    whitespace-separated fields (P6, width, height, maxval) that may share
+    lines; ``#`` starts a comment that runs to the end of its line."""
     with open(path, "rb") as f:
         fields = []
         while len(fields) < 4 and (line := f.readline()):
             fields += line.split(b"#", 1)[0].split()
-        if fields[:1] != [magic]:
-            raise DataError(f"{path}: expected {magic.decode()}, got {fields[:1]!r}")
+        if fields[:1] != [b"P6"]:
+            raise DataError(f"{path}: expected P6, got {fields[:1]!r}")
         if len(fields) != 4:
-            raise DataError(f"{path}: PNM header has {len(fields)} fields, not 4")
+            raise DataError(f"{path}: PPM header has {len(fields)} fields, not 4")
         try:
             w, h, maxval = (int(v) for v in fields[1:])
         except ValueError as exc:
-            raise DataError(f"{path}: non-numeric PNM header field in {fields[1:]!r}") from exc
+            raise DataError(f"{path}: non-numeric PPM header field in {fields[1:]!r}") from exc
         if maxval != 255:
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 0 or h < 0:
             raise DataError(f"{path}: negative extent {w}x{h}")
-        buf = _read_exact(f, w * h * math.prod(pixel_shape), "pixel data")
-        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, *pixel_shape).copy()
-
-
-def _write_pnm(path, magic, pixels):
-    h, w = pixels.shape[:2]
-    with open(path, "wb") as f:
-        f.write(b"%s\n%d %d\n255\n" % (magic, w, h))
-        f.write(np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
-
-
-def read_ppm(path):
-    return _read_pnm(path, b"P6", (3,))
+        buf = _read_exact(f, w * h * 3, "pixel data")
+        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
 def write_ppm(path, rgb):
-    _write_pnm(path, b"P6", rgb)
-
-
-def read_pgm(path):
-    return _read_pnm(path, b"P5", ())
-
-
-def write_pgm(path, gray):
-    _write_pnm(path, b"P5", gray)
+    h, w = rgb.shape[:2]
+    with open(path, "wb") as f:
+        f.write(b"P6\n%d %d\n255\n" % (w, h))
+        f.write(np.ascontiguousarray(rgb, dtype=np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

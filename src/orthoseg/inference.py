@@ -173,20 +173,3 @@ def format_report(result):
     row = [f"{v:.4f}" if p else "absent" for v, p in zip(result.f1, result.present)]
     row.append(f"{result.overall_accuracy:.4f}")
     return ",".join(header) + "\n" + ",".join(row) + "\n"
-
-
-def write_report(out_dir, result, pred_labels, true_labels=None):
-    """report.csv plus colorized prediction and, when annotation is given,
-    a green/red per-pixel agreement image."""
-    import os
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as f:
-        f.write(format_report(result))
-    data.write_ppm(os.path.join(out_dir, "prediction.ppm"),
-                   data.colorize(np.asarray(pred_labels, dtype=np.uint8)))
-    if true_labels is not None:
-        agree = np.asarray(pred_labels) == np.asarray(true_labels)
-        good = np.array([0, 255, 0], dtype=np.uint8)
-        bad = np.array([255, 0, 0], dtype=np.uint8)
-        img = np.where(agree[..., None], good, bad)
-        data.write_ppm(os.path.join(out_dir, "agreement.ppm"), img.astype(np.uint8))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, DataError, OrthosegError
+from .errors import ConfigurationError, DataError
 
 
 @dataclass
@@ -71,12 +71,20 @@ class NoiseRates:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
+        """Inverse of ``to_dict``. Raises ``ValueError`` or ``TypeError`` for
+        an empty bucket table or a rate that is not a number in [0, 1)."""
+        rates = cls(
             encoder={int(k): v for k, v in d["encoder"].items()},
             decoder={int(k): v for k, v in d["decoder"].items()},
             sccb=d["sccb"],
             residual=d["residual"],
         )
+        if not (rates.encoder and rates.decoder):
+            raise ValueError("empty noiserate bucket table")
+        for v in (*rates.encoder.values(), *rates.decoder.values(), rates.sccb, rates.residual):
+            if not 0 <= v < 1:  # a str or None raises TypeError
+                raise ValueError(f"noiserate {v!r} is not a number in [0, 1)")
+        return rates
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,9 @@ class NetworkConfig:
                 raise ConfigurationError(f"{key} values must be at least 1, got {values}")
         if not (self.input_scale_divisor > 0 and self.output_scale_divisor > 0):
             raise ConfigurationError("scale divisors must be positive")
+        rates = [rate for rate, _ in self.sccb_dilations]
+        if len(set(rates)) != len(rates):  # one "sccb.branch_d{rate}" per rate
+            raise ConfigurationError(f"sccb_dilations repeats a rate: {rates}")
 
     @classmethod
     def benchmark(cls):
@@ -127,54 +138,6 @@ class NetworkConfig:
     def conv_layers_in_block(self, block):
         """VGG-16 layout: blocks 1-2 have two 3x3 convs, deeper blocks three."""
         return 2 if block <= 2 else 3
-
-
-class ModelParams:
-    """Named parameter store; trainability lives on each tensor."""
-
-    def __init__(self):
-        self._tensors = {}
-
-    def add(self, name, tensor):
-        if name in self._tensors:
-            raise ConfigurationError(f"duplicate parameter name {name}")
-        tensor.requires_grad = True
-        self._tensors[name] = tensor
-
-    def __getitem__(self, name):
-        return self._tensors[name]
-
-    def __contains__(self, name):
-        return name in self._tensors
-
-    def names(self):
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
-
-    def set_trainable(self, prefix, flag):
-        matched = [n for n in self._tensors if n == prefix or n.startswith(prefix + ".")]
-        if not matched:
-            raise OrthosegError(f"prefix {prefix!r} matches no parameters")
-        for n in matched:
-            self._tensors[n].requires_grad = bool(flag)
-            if not flag:
-                self._tensors[n].grad = None
-        return matched
-
-    def count(self):
-        """(trainable scalar count, total scalar count)."""
-        trainable = sum(t.data.size for t in self._tensors.values() if t.requires_grad)
-        total = sum(t.data.size for t in self._tensors.values())
-        return trainable, total
-
-    def zero_grads(self):
-        for t in self._tensors.values():
-            t.grad = None
-
-    def frozen_names(self):
-        return [n for n, t in self._tensors.items() if not t.requires_grad]
 
 
 def _he_conv(rng, out_ch, in_ch, kh, kw, dtype=np.float32):
@@ -224,7 +187,9 @@ def param_layout(cfg):
 
 
 class Model:
-    """A built network: immutable config plus its parameter store."""
+    """A built network: immutable config plus ``params``, a dict of
+    parameter name -> Tensor in ``param_layout`` order; trainability lives
+    on each tensor's ``requires_grad``."""
 
     def __init__(self, config, params):
         self.config = config
@@ -236,10 +201,10 @@ class Model:
     def build(cls, config, seed):
         """He-initialized weights drawn from ``seed`` in layout order, zero biases."""
         rng = np.random.default_rng(seed)
-        params = ModelParams()
+        params = {}
         for name, shape in param_layout(config):
             data = _he_conv(rng, *shape) if len(shape) == 4 else np.zeros(shape, dtype=np.float32)
-            params.add(name, Tensor(data))
+            params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 
     @classmethod
@@ -247,14 +212,14 @@ class Model:
         """Wraps ``arrays`` (parameter name -> array) as the parameters of
         ``config``; float32 arrays are used in place, not copied. Entries
         outside the layout are ignored."""
-        params = ModelParams()
+        params = {}
         for name, shape in param_layout(config):
             if name not in arrays:
                 raise DataError(f"missing parameter {name}")
             if arrays[name].shape != shape:
                 raise DataError(
                     f"shape mismatch for {name}: {arrays[name].shape} != {shape}")
-            params.add(name, Tensor(np.asarray(arrays[name], dtype=np.float32)))
+            params[name] = Tensor(np.asarray(arrays[name], dtype=np.float32), requires_grad=True)
         return cls(config, params)
 
     # -- forward ----------------------------------------------------------

@@ -54,8 +54,12 @@ class PlateauTracker:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(window=d["window"], threshold=d["threshold"],
-                   best_loss=d["best_loss"], best_iteration=d["best_iteration"])
+        """Inverse of ``to_dict``; raises ``TypeError`` for a non-numeric field."""
+        tracker = cls(window=d["window"], threshold=d["threshold"],
+                      best_loss=d["best_loss"], best_iteration=d["best_iteration"])
+        if not all(isinstance(v, (int, float)) for v in tracker.to_dict().values()):
+            raise TypeError("non-numeric plateau tracker field")
+        return tracker
 
 
 @dataclass
@@ -75,10 +79,21 @@ class TrainState:
     unfrozen_blocks: list = field(default_factory=list)
 
 
+def _set_trainable(params, block, flag):
+    """Sets ``requires_grad`` on every parameter of ``block`` (a name prefix
+    such as ``encoder.primary.block1``), dropping the gradients of frozen
+    ones; returns their names, ``[]`` when the network has no such block."""
+    names = [n for n in params if n.startswith(block + ".")]
+    for n in names:
+        params[n].requires_grad = flag
+        if not flag:
+            params[n].grad = None
+    return names
+
+
 def init_state(model, run_cfg):
     for b in range(1, run_cfg.freeze_primary_blocks + 1):
-        if f"encoder.primary.block{b}.conv1.weight" in model.params:
-            model.params.set_trainable(f"encoder.primary.block{b}", False)
+        _set_trainable(model.params, f"encoder.primary.block{b}", False)
     velocities = {name: np.zeros_like(t.data)
                   for name, t in model.params.items() if t.requires_grad}
     return TrainState(
@@ -120,11 +135,10 @@ def on_plateau(state):
     state.fine_plateau_count += 1
     block = {1: 2, 2: 1}.get(state.fine_plateau_count)
     if block is not None:
-        prefix = f"encoder.primary.block{block}"
-        if f"{prefix}.conv1.weight" in state.model.params:
-            names = state.model.params.set_trainable(prefix, True)
-            for n in names:
-                state.velocities.setdefault(n, np.zeros_like(state.model.params[n].data))
+        names = _set_trainable(state.model.params, f"encoder.primary.block{block}", True)
+        for n in names:
+            state.velocities.setdefault(n, np.zeros_like(state.model.params[n].data))
+        if names:
             state.unfrozen_blocks.append(block)
 
 
@@ -145,7 +159,7 @@ def state_to_checkpoint(path, state, config_digest, config_text=""):
         "config_text": config_text,
         "digest_algorithm": "sha256",
         "noiserates": state.noiserates.to_dict(),
-        "frozen": state.model.params.frozen_names(),
+        "frozen": [n for n, t in state.model.params.items() if not t.requires_grad],
         "tracker": state.tracker.to_dict(),
         "noise_rng_state": state.noise_rng.bit_generator.state,
         **{key: getattr(state, key) for key, _ in _HEADER_SCALARS},
@@ -168,11 +182,13 @@ def state_from_checkpoint(path, network_config, expected_digest=None, override=F
 def state_from_tensors(header, tensors, network_config):
     """The TrainState held by a loaded checkpoint's ``header`` and
     ``tensors``; float32 parameters and velocities are used in place. A
-    missing or malformed header entry raises ``DataError`` naming it."""
+    missing or malformed header entry (integers must be non-negative) raises
+    ``DataError`` naming it, as does a trainable parameter without a
+    velocity of its shape."""
 
     def value(key, kind, parse=lambda v: v):
         try:
-            if not isinstance(v := header[key], kind):
+            if not isinstance(v := header[key], kind) or (kind is int and v < 0):
                 raise TypeError(kind.__name__)
             return parse(v)
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -185,6 +201,10 @@ def state_from_tensors(header, tensors, network_config):
         t.requires_grad = name not in frozen
     velocities = {key[len("velocity:"):]: arr.astype(np.float32, copy=False)
                   for key, arr in tensors.items() if key.startswith("velocity:")}
+    for name, t in model.params.items():
+        if t.requires_grad and (name not in velocities
+                                or velocities[name].shape != t.data.shape):
+            raise DataError(f"checkpoint: no velocity of shape {t.data.shape} for {name}")
     rng = np.random.default_rng()
     value("noise_rng_state", dict, lambda st: setattr(rng.bit_generator, "state", st))
     return TrainState(
@@ -255,6 +275,7 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     new_log = not os.path.exists(metrics_path)
     n = len(train_samples)
     best_seen = state.tracker.best_loss
+    params = state.model.params
 
     def fail(what):
         diag = os.path.join(out_dir, "diagnostic.ckpt")
@@ -275,10 +296,15 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
             train_loss = float(loss.data)
             if not math.isfinite(train_loss):
                 fail("loss")
-            state.model.params.zero_grads()
+            for t in params.values():
+                t.grad = None
             ad.backward(loss)
-            nesterov_step(state.model.params, state)
-            state.model.params.zero_grads()
+            for name, t in params.items():  # before any parameter moves
+                if t.grad is not None and not np.isfinite(t.grad).all():
+                    fail(f"gradient of {name}")
+            nesterov_step(params, state)
+            for t in params.values():
+                t.grad = None
             state.iteration += 1
 
             if state.iteration % run_cfg.eval_interval == 0 or state.iteration == limit:

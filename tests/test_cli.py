@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from orthoseg import checkpoint, data
 from orthoseg.cli import main
 from orthoseg.config import RunConfig
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def run(argv):
@@ -122,7 +125,7 @@ def test_infer_and_eval(pipeline, tmp_path, capsys):
     report = str(tmp_path / "report.csv")
     assert run(["eval", "--pred", prefix + "_prediction.ppm", "--truth", truth_ppm,
                 "--out", report]) == 0
-    lines = open(report).read().strip().splitlines()
+    lines = Path(report).read_text().strip().splitlines()
     assert lines[0].endswith("overall_accuracy")
 
 
@@ -132,7 +135,7 @@ def test_eval_identical_files_is_perfect(tmp_path, capsys):
     data.write_ppm(ppm, data.colorize(labels))
     report = str(tmp_path / "r.csv")
     assert run(["eval", "--pred", ppm, "--truth", ppm, "--out", report]) == 0
-    row = open(report).read().strip().splitlines()[1]
+    row = Path(report).read_text().strip().splitlines()[1]
     assert row.split(",")[-1] == "1.0000"
 
 
@@ -163,7 +166,7 @@ def test_infer_reads_checkpoint_once(pipeline, tmp_path, monkeypatch):
 
 
 def test_truncated_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
-    raw = open(os.path.join(pipeline["runout"], "final.ckpt"), "rb").read()
+    raw = Path(pipeline["runout"], "final.ckpt").read_bytes()
     ckpt = tmp_path / "cut.ckpt"
     ckpt.write_bytes(raw[:14])  # inside the header JSON
     code = run(["infer", "--ckpt", str(ckpt), "--image", "/nonexistent.mcr",
@@ -192,6 +195,18 @@ def test_checkpoint_missing_parameter_exits_data_code(pipeline, tmp_path, capsys
                 "--out", str(tmp_path / "x")])
     assert code == 3
     assert "error code=3 kind=DataError: missing parameter sccb.conv2.bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text", ["primary_filters=abc\n", 123, ["seed=1"]],
+                         ids=["malformed-setting", "number", "list"])
+def test_checkpoint_bad_config_text_exits_data_code(pipeline, tmp_path, capsys, config_text):
+    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    ckpt = str(tmp_path / "bad_config.ckpt")
+    checkpoint.save_checkpoint(ckpt, dict(header, config_text=config_text), tensors)
+    code = run(["infer", "--ckpt", ckpt, "--image", "/nonexistent.mcr",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error code=3 kind=DataError" in capsys.readouterr().err
 
 
 def test_malformed_network_setting_exits_config_code(pipeline, tmp_path, capsys):

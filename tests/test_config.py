@@ -99,10 +99,11 @@ def test_noiserates_bucketing():
      "primary_filters"),
     ("sccb_dilations=0:25", "sccb_dilations"),
     ("sccb_dilations=5:-1", "sccb_dilations"),
+    ("sccb_dilations=5:25,5:8", "sccb_dilations"),
     ("input_scale_divisor=0.0", "divisor"),
     ("output_scale_divisor=nan", "divisor"),
 ], ids=["empty", "non-numeric", "non-integer", "rate-only", "three-fields", "negative",
-        "zero-decoder", "zero-filter", "zero-rate", "negative-width", "zero-divisor",
+        "zero-decoder", "zero-filter", "zero-rate", "negative-width", "repeated-rate", "zero-divisor",
         "nan-divisor"])
 def test_malformed_network_settings_rejected(line, key):
     cfg = RunConfig.parse(line)

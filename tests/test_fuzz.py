@@ -1,15 +1,20 @@
-"""Fuzz tests of the input boundary: the MCR, PPM and PGM readers, the
-checkpoint reader and the run-config parser.  Whatever the input, the only
-exceptions that may escape are ``DataError`` and ``ConfigurationError``."""
+"""Fuzz tests of the input boundary: the MCR and PPM readers, the checkpoint
+reader, the checkpoint header's training state and the run-config parser.
+Whatever the input, the only exceptions that may escape are ``DataError`` and
+``ConfigurationError``; a header state that loads must resume, where only
+``NumericalError`` may end the run."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoseg import checkpoint, data
+from orthoseg import checkpoint, data, trainer
 from orthoseg.config import RunConfig
-from orthoseg.errors import ConfigurationError, DataError
+from orthoseg.errors import ConfigurationError, DataError, NumericalError
+from orthoseg.network import Model
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -22,18 +27,16 @@ def valid_files(root):
                           "LABEL": rng.integers(0, 6, (3, 4)).astype(np.uint8)})
     data.write_mcr(root / "v.mcr", raster)
     data.write_ppm(root / "v.ppm", data.colorize(raster.channels["LABEL"]))
-    data.write_pgm(root / "v.pgm", raster.channels["IR"])
     checkpoint.save_checkpoint(str(root / "v.ckpt"), {"config_text": "seed=1\n", "lr": 0.1},
                                {"param:a": rng.normal(size=(2, 3)).astype(np.float32),
                                 "velocity:a": np.zeros(4)})
     return {data.read_mcr: (root / "v.mcr").read_bytes(),
             data.read_ppm: (root / "v.ppm").read_bytes(),
-            data.read_pgm: (root / "v.pgm").read_bytes(),
             checkpoint.load_checkpoint: (root / "v.ckpt").read_bytes()}
 
 
-READERS = [data.read_mcr, data.read_ppm, data.read_pgm, checkpoint.load_checkpoint]
-IDS = ["mcr", "ppm", "pgm", "checkpoint"]
+READERS = [data.read_mcr, data.read_ppm, checkpoint.load_checkpoint]
+IDS = ["mcr", "ppm", "checkpoint"]
 
 
 @pytest.fixture(scope="module")
@@ -102,4 +105,68 @@ def test_network_settings(text):
     try:
         RunConfig.parse(text).network_config()
     except ConfigurationError:
+        pass
+
+
+# the smallest network the config allows, so that a resumed iteration is cheap
+TINY = dict(num_encoder_blocks=1, primary_filters="2", auxiliary_filters="2",
+            decoder_filters=2, sccb_dilations="5:1,11:1")
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def key_paths(tree, prefix=()):
+    """Every key path into the nested dicts of ``tree``."""
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_state(tmp_path_factory):
+    root = tmp_path_factory.mktemp("header")
+    cfg = RunConfig.desk(**TINY)
+    path = str(root / "w.ckpt")
+    state = trainer.init_state(Model.build(cfg.network_config(), seed=0), cfg)
+    trainer.state_to_checkpoint(path, state, cfg.digest(), cfg.serialize())
+    return root, cfg, *checkpoint.load_checkpoint(path)
+
+
+HEADER_KEYS = ["config_digest", "config_text", "digest_algorithm", "fine_plateau_count",
+               "fine_tuning_momentum", "frozen", "iteration", "lr", "momentum",
+               "noise_rng_state", "noiserates", "phase", "seed", "tracker", "unfrozen_blocks"]
+
+
+@pytest.mark.parametrize("key", HEADER_KEYS)
+@settings(FUZZ, max_examples=30)
+@given(draw=st.data())
+def test_checkpoint_header_values(saved_state, key, draw):
+    """Any JSON value at any key path under ``key`` either loads as a state
+    that resumes for one iteration, or raises ``DataError`` on load."""
+    root, cfg, header, tensors = saved_state
+    assert sorted(header) == HEADER_KEYS
+    header = json.loads(json.dumps(header))
+    *parents, last = draw.draw(st.sampled_from(
+        [p for p in key_paths(header) if p[0] == key]))
+    target = header
+    for parent in parents:
+        target = target[parent]
+    target[last] = draw.draw(JSON)
+    tensors = {name: arr.copy() for name, arr in tensors.items()}  # resuming updates them
+    try:
+        state = trainer.state_from_tensors(header, tensors, cfg.network_config())
+    except DataError:
+        return
+    rng = np.random.default_rng(0)
+    sample = (rng.normal(size=(3, 2, 2)).astype(np.float32),
+              rng.normal(size=(3, 2, 2)).astype(np.float32), np.zeros((2, 2), dtype=np.int64))
+    try:  # a fuzzed lr or momentum may overflow; that must end as NumericalError
+        with np.errstate(all="ignore"):
+            trainer.train_loop(cfg, None, [sample], [sample], str(root / "resume"),
+                               max_iterations=state.iteration + 1, state=state)
+    except NumericalError:
         pass

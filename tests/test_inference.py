@@ -7,7 +7,7 @@ from orthoseg import data, inference
 from orthoseg.config import RunConfig
 from orthoseg.errors import ConfigurationError
 from orthoseg.inference import (evaluate, format_report, infer_full_raster,
-                                plan_stitch, stitch_predict, write_report)
+                                plan_stitch, stitch_predict)
 from orthoseg.network import Model
 
 
@@ -193,20 +193,12 @@ def test_metrics_shape_mismatch():
         evaluate([0, 1], [0, 1, 2])
 
 
-def test_report_files(tmp_path):
+def test_format_report_columns():
     pred = np.array([[0, 1], [2, 3]], dtype=np.int64)
     true = np.array([[0, 1], [2, 2]], dtype=np.int64)
-    res = evaluate(pred, true)
-    write_report(str(tmp_path), res, pred, true)
-    text = (tmp_path / "report.csv").read_text()
-    lines = text.strip().splitlines()
+    lines = format_report(evaluate(pred, true)).strip().splitlines()
     assert lines[0].startswith("f1_") and lines[0].endswith("overall_accuracy")
     assert lines[1].split(",")[-1] == "0.7500"
-    rgb = data.read_ppm(str(tmp_path / "prediction.ppm"))
-    assert np.array_equal(data.decode_label_colors(rgb), pred)
-    agree = data.read_ppm(str(tmp_path / "agreement.ppm"))
-    assert tuple(agree[0, 0]) == (0, 255, 0)
-    assert tuple(agree[1, 1]) == (255, 0, 0)
 
 
 def test_format_report_marks_absent():

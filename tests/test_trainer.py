@@ -67,7 +67,6 @@ def test_nesterov_scalar_oracle():
         v = 0.9 * v - 0.1 * g
         w = w + 0.9 * v - 0.1 * g
         assert t.data.flat[0] == pytest.approx(w, rel=1e-5)
-    model.params.zero_grads()
 
 
 def test_nesterov_skips_frozen():
@@ -82,7 +81,6 @@ def test_nesterov_skips_frozen():
     nesterov_step(model.params, state)
     assert np.array_equal(frozen.data, before)
     assert "encoder.primary.block1.conv1.weight" not in state.velocities
-    model.params.zero_grads()
 
 
 def test_zero_lr_leaves_params_unchanged():
@@ -96,7 +94,6 @@ def test_zero_lr_leaves_params_unchanged():
             t.grad = np.ones_like(t.data)
     nesterov_step(model.params, state)
     assert np.array_equal(live.data, before)
-    model.params.zero_grads()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +144,7 @@ def test_three_plateau_golden_trace():
     assert state.lr == pytest.approx(1e-4)
     assert state.momentum == pytest.approx(0.99)
     assert state.phase == PHASE_INITIAL
-    trainable0, _ = model.params.count()
+    trainable0 = [n for n, t in model.params.items() if t.requires_grad]
 
     # plateau 1: phase flip + momentum, no noiserate decay, no unfreeze
     on_plateau(state)
@@ -156,7 +153,7 @@ def test_three_plateau_golden_trace():
     assert state.phase == PHASE_FINE_TUNING
     assert state.noiserates.to_dict() == base.to_dict()
     assert state.unfrozen_blocks == []
-    assert model.params.count()[0] == trainable0
+    assert [n for n, t in model.params.items() if t.requires_grad] == trainable0
 
     # plateau 2: first fine-tuning plateau, decay + unfreeze block 2
     on_plateau(state)
@@ -178,7 +175,7 @@ def test_three_plateau_golden_trace():
     assert state.noiserates.sccb == pytest.approx(0.0625 * 0.25 ** 2)
     assert state.unfrozen_blocks == [2, 1]
     assert model.params["encoder.primary.block1.conv1.weight"].requires_grad
-    assert model.params.frozen_names() == []
+    assert all(t.requires_grad for t in model.params.values())
 
     # plateau 4: lr and noiserates keep decaying, nothing left to unfreeze
     on_plateau(state)
@@ -288,6 +285,25 @@ def test_nonfinite_validation_loss_raises_with_diagnostic(tmp_path):
     assert diag.tracker.best_iteration == 0
 
 
+def test_nonfinite_gradient_raises_before_update(tmp_path, monkeypatch):
+    cfg = desk_cfg(max_iterations=2, eval_interval=1, checkpoint_interval=100, seed=0)
+    samples = synth_samples(1, size=16)
+    model = Model.build(cfg.network_config(), seed=0)
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    backward = ad.backward
+
+    def nan_gradient(loss):  # a finite loss whose backward yields one NaN
+        backward(loss)
+        model.params["decoder.block1.conv2.weight"].grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", nan_gradient)
+    with pytest.raises(NumericalError, match="gradient of decoder.block1.conv2.weight"):
+        trainer.train_loop(cfg, model, samples, samples, str(tmp_path / "o"))
+    _, tensors = checkpoint.load_checkpoint(str(tmp_path / "o" / "diagnostic.ckpt"))
+    for name, data in before.items():
+        assert np.array_equal(tensors[f"param:{name}"], data), name
+
+
 def test_state_from_checkpoint_draws_no_weights(tmp_path, monkeypatch):
     cfg = desk_cfg(seed=3)
     state = make_state(Model.build(cfg.network_config(), seed=3), cfg)
@@ -299,7 +315,7 @@ def test_state_from_checkpoint_draws_no_weights(tmp_path, monkeypatch):
 
     monkeypatch.setattr(network, "_he_conv", no_init)
     loaded, _ = trainer.state_from_checkpoint(path, cfg.network_config())
-    assert loaded.model.params.names() == state.model.params.names()
+    assert list(loaded.model.params) == list(state.model.params)
     for name, t in state.model.params.items():
         got = loaded.model.params[name]
         assert got.data.dtype == np.float32
@@ -340,6 +356,33 @@ def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
     else:
         header[key] = None
     with pytest.raises(DataError, match=repr(key)):
+        trainer.state_from_tensors(header, tensors, cfg.network_config())
+
+
+@pytest.mark.parametrize("path, value", [
+    (("noiserates", "sccb"), "x"),
+    (("noiserates", "residual"), 1.0),
+    (("noiserates", "encoder", "64"), -0.5),
+    (("noiserates", "decoder"), {}),
+    (("tracker", "best_loss"), "x"),
+    (("tracker", "window"), None),
+    (("iteration",), -1),
+    (("seed",), -1),
+    (("frozen",), []),
+], ids=["rate-str", "rate-one", "rate-negative", "no-buckets", "tracker-str", "tracker-null",
+        "negative-iteration", "negative-seed", "no-velocity"])
+def test_state_from_tensors_rejects_unusable_value(tmp_path, path, value):
+    """Values that load as JSON of the right shape yet would crash a resumed run."""
+    cfg = desk_cfg()
+    ckpt_path = str(tmp_path / "w.ckpt")
+    trainer.state_to_checkpoint(ckpt_path, make_state(build_desk_model(), cfg), cfg.digest())
+    header, tensors = checkpoint.load_checkpoint(ckpt_path)
+    *parents, last = path
+    target = header
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(DataError):
         trainer.state_from_tensors(header, tensors, cfg.network_config())
 
 
