@@ -39,11 +39,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         if arr.ndim > 4:
             raise ConfigurationError(f"rank {arr.ndim} > 4 unsupported")
@@ -53,24 +51,13 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
 def _node(data, parents, backward_fn):
     """Create an op output, recording the tape edge when grads are on."""
-    out = Tensor(data, dtype=data.dtype)
+    out = Tensor(data)
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = tuple(parents)
@@ -118,24 +105,6 @@ def backward(loss):
 # convolution
 
 
-def _conv_geometry(kh, kw, dilation, padding, h, w):
-    ekh = kh + (kh - 1) * (dilation - 1)
-    ekw = kw + (kw - 1) * (dilation - 1)
-    if padding == "same":
-        ph, pw = (ekh - 1) // 2, (ekw - 1) // 2
-        if (ekh - 1) % 2 or (ekw - 1) % 2:
-            raise ConfigurationError("same padding needs odd effective kernel extent")
-    elif padding == "valid":
-        ph = pw = 0
-    else:
-        raise ConfigurationError(f"unknown padding {padding!r}")
-    ho = h + 2 * ph - ekh + 1
-    wo = w + 2 * pw - ekw + 1
-    if ho < 1 or wo < 1:
-        raise ConfigurationError("kernel effective extent exceeds padded input")
-    return ph, pw, ho, wo
-
-
 # OpenBLAS runs a GEMM of fewer than _BLAS_SERIAL_MACS multiply-adds on the
 # calling thread and hands larger ones to its worker threads, which then
 # spin for a while waiting for the next call.  A worker saves microseconds
@@ -156,14 +125,15 @@ def _column_blocks(rows_by_depth, length):
 
 
 def conv2d(x, weights, bias, dilation=1, padding="same"):
-    """Stride-1 2-D convolution (cross-correlation) with dilation.
+    """Stride-1 2-D convolution (cross-correlation) with dilation and
+    ``same`` zero padding, the only padding it accepts.
 
-    x: (N,Ci,H,W); weights: (Co,Ci,kh,kw); bias: (Co,).
+    x: (N,Ci,H,W); weights: (Co,Ci,kh,kw); bias: (Co,); output (N,Co,H,W).
 
     Each image is zero-padded once (plus a spare zero row) into a flat
     (Ci, Hp*Wp) buffer; output pixel (y, x) is flat column y*Wp + x, so tap
-    (i, j) is one GEMM on the view ``xp[:, off:off+Ho*Wp]``, off = i*d*Wp + j*d
-    (MEC-style shifted matrices, no im2col copy).  The Wp - Wo wrap-around
+    (i, j) is one GEMM on the view ``xp[:, off:off+H*Wp]``, off = i*d*Wp + j*d
+    (MEC-style shifted matrices, no im2col copy).  The Wp - W wrap-around
     columns per row are sliced off; the backward reuses the same views and
     needs those columns of the flat output gradient to be exactly zero.
     A small conv runs each tap's GEMMs over column blocks (``_column_blocks``).
@@ -177,14 +147,18 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
         raise ConfigurationError(f"bias shape {bias.data.shape} != ({co},)")
     if dilation < 1:
         raise ConfigurationError("dilation must be >= 1")
-    ph, pw, ho, wo = _conv_geometry(kh, kw, dilation, padding, h, w)
+    if padding != "same":
+        raise ConfigurationError(f"unknown padding {padding!r}")
+    if (kh - 1) * dilation % 2 or (kw - 1) * dilation % 2:
+        raise ConfigurationError("same padding needs odd effective kernel extent")
+    ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
     hp, wp = h + 2 * ph + 1, w + 2 * pw
-    length = ho * wp
+    length = h * wp
     taps = [(i, j, i * dilation * wp + j * dilation) for i in range(kh) for j in range(kw)]
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw))).reshape(n, ci, hp * wp)
     wtap = np.ascontiguousarray(weights.data.transpose(2, 3, 0, 1))  # (kh,kw,Co,Ci)
-    out = np.empty((n, co, ho, wo), dtype=x.data.dtype)
+    out = np.empty((n, co, h, w), dtype=x.data.dtype)
     acc, tmp = np.empty((2, co, length), dtype=x.data.dtype)
     blocks = _column_blocks(co * ci, length)
     for b in range(n):
@@ -193,16 +167,16 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
             np.matmul(wtap[0, 0], xp[b, :, c0:c1], out=a)
             for i, j, off in taps[1:]:
                 a += np.matmul(wtap[i, j], xp[b, :, off + c0 : off + c1], out=t)
-        np.add(acc.reshape(co, ho, wp)[:, :, :wo], bias.data.reshape(co, 1, 1), out=out[b])
+        np.add(acc.reshape(co, h, wp)[:, :, :w], bias.data.reshape(co, 1, 1), out=out[b])
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3)).astype(bias.data.dtype) if bias.requires_grad else None
         gw = np.zeros_like(wtap) if weights.requires_grad else None
         gx = np.zeros_like(xp) if x.requires_grad else None
-        gflat = np.zeros((co, ho, wp), dtype=g.dtype)
+        gflat = np.zeros((co, h, wp), dtype=g.dtype)
         tmp = np.empty((ci, length), dtype=x.data.dtype)
         for b in range(n):
-            gflat[:, :, :wo] = g[b]
+            gflat[:, :, :w] = g[b]
             gf = gflat.reshape(co, length)
             for (i, j, off), (c0, c1) in itertools.product(taps, blocks):
                 if gw is not None:
@@ -374,7 +348,7 @@ def tsum(x):
 
 def stop_gradient(x):
     """Forward identity that cuts the tape: contributes exactly zero gradient."""
-    out = Tensor(x.data, dtype=x.data.dtype)
+    out = Tensor(x.data)
     return out
 
 
@@ -413,15 +387,14 @@ def dmgn(x, noiserate, training, rng=None):
     """Depth-wise multiplicative Gaussian noise.
 
     Training mode multiplies each (batch, channel) plane by one scalar drawn
-    from Normal(1, sqrt(noiserate/(1-noiserate))).  Inference mode is bitwise
-    identity.  The sampled scalars are constants in backward.
+    from Normal(1, sqrt(noiserate/(1-noiserate))).  Inference mode, or a
+    zero rate, returns ``x`` itself.  The sampled scalars are constants in
+    backward.
     """
     if not 0 <= noiserate < 1:
         raise ConfigurationError(f"noiserate {noiserate} outside [0,1)")
     if not training or noiserate == 0:
-        def bwd_id(g):
-            return (g,)
-        return _node(x.data, (x,), bwd_id)
+        return x
     if rng is None:
         raise ConfigurationError("training-mode dmgn needs an rng")
     n, c = x.data.shape[0], x.data.shape[1]
@@ -485,7 +458,7 @@ def finite_diff_check(fn, inputs, eps=1e-6, tolerance=1e-6, atol=1e-9):
         if t.data.dtype != np.float64:
             raise ConfigurationError("finite_diff_check requires float64 inputs")
         t.requires_grad = True
-        t.zero_grad()
+        t.grad = None
     out = fn(inputs)
     backward(out)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]

@@ -21,6 +21,7 @@ import struct
 
 import numpy as np
 
+from .data import _exact_reader
 from .errors import ConfigurationError, DataError
 
 MAGIC = b"OSCK"
@@ -70,14 +71,7 @@ def load_checkpoint(path):
     checked against the bytes left in the file before anything is
     allocated, so a truncated or malformed file raises ``DataError``."""
     with open(path, "rb") as f:
-        left = os.fstat(f.fileno()).st_size
-
-        def read(n, what):
-            nonlocal left
-            if n > left or len(buf := f.read(n)) != n:
-                raise DataError(f"{path}: truncated {what}")
-            left -= n
-            return buf
+        read = _exact_reader(f)
 
         def unpack(fmt, what):
             return struct.unpack(fmt, read(struct.calcsize(fmt), what))
@@ -111,18 +105,16 @@ def load_checkpoint(path):
                 raise DataError(f"{path}: duplicate tensor name {name}")
             shape = unpack(f"<{rank}I", f"record {name}")
             dt = _DTYPES[code]
-            nbytes = math.prod(shape) * dt.itemsize
-            if nbytes > left:
-                raise DataError(f"{path}: truncated payload for {name}")
-            try:
-                arr = np.empty(shape, dtype=dt)
-            except ValueError as exc:  # zero-size, yet too many elements to index
-                raise DataError(f"{path}: unsupported extents {shape} for {name}") from exc
-            if f.readinto(arr) != nbytes:
-                raise DataError(f"{path}: truncated payload for {name}")
-            left -= nbytes
-            tensors[name] = arr
+            tensors[name] = read(math.prod(shape) * dt.itemsize, f"payload for {name}",
+                                 lambda: _empty(shape, dt, path, name))
         return header, tensors
+
+
+def _empty(shape, dtype, path, name):
+    try:
+        return np.empty(shape, dtype=dtype)
+    except ValueError as exc:  # zero-size, yet too many elements to index
+        raise DataError(f"{path}: unsupported extents {shape} for {name}") from exc
 
 
 def check_digest(header, expected_digest, override=False):

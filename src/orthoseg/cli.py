@@ -278,10 +278,10 @@ def build_parser():
     p = sub.add_parser("prepare", help="tile rasters, augment, split train/val")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tile", type=int, default=1024)
-    p.add_argument("--overlap", type=float, default=0.66)
-    p.add_argument("--val-frac", type=float, default=0.10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tile", type=int, default=RunConfig.tile_size)
+    p.add_argument("--overlap", type=float, default=RunConfig.overlap)
+    p.add_argument("--val-frac", type=float, default=RunConfig.val_fraction)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train from a run config")

@@ -94,12 +94,23 @@ def write_mcr(path, raster):
             f.write(np.ascontiguousarray(raster.channels[role], dtype=dt).tobytes())
 
 
-def _read_exact(f, n, what):
-    """Exactly ``n`` bytes from ``f``; ``n`` is checked against the bytes left
-    in the file before anything is read, so a bogus size allocates nothing."""
-    if n > os.fstat(f.fileno()).st_size - f.tell() or len(buf := f.read(n)) != n:
-        raise DataError(f"{f.name}: truncated {what}")
-    return buf
+def _exact_reader(f):
+    """``read(n, what, alloc=None)``: the next ``n`` bytes of ``f``, or the
+    ``n``-byte buffer ``alloc()`` returns filled with them.  ``n`` is checked
+    against the bytes left before anything is allocated or read, so a bogus
+    size costs nothing; a short file raises ``DataError`` naming ``what``."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def read(n, what, alloc=None):
+        nonlocal left
+        if n > left:
+            raise DataError(f"{f.name}: truncated {what}")
+        got = len(buf := f.read(n)) if alloc is None else f.readinto(buf := alloc())
+        if got != n:
+            raise DataError(f"{f.name}: truncated {what}")
+        left -= n
+        return buf
+    return read
 
 
 def read_mcr(path, raster_id=None):
@@ -107,10 +118,11 @@ def read_mcr(path, raster_id=None):
         magic = f.read(4)
         if magic != b"MCR1":
             raise DataError(f"{path}: bad magic {magic!r}")
-        nch, h, w = struct.unpack("<III", _read_exact(f, 12, "header"))
+        read = _exact_reader(f)
+        nch, h, w = struct.unpack("<III", read(12, "header"))
         descs = []
         for _ in range(nch):
-            raw = _read_exact(f, 17, "channel descriptor")
+            raw = read(17, "channel descriptor")
             try:
                 name = raw[:16].rstrip(b"\0").decode("ascii")
             except UnicodeDecodeError as exc:
@@ -121,7 +133,7 @@ def read_mcr(path, raster_id=None):
             descs.append((name, _DTYPE_CODES[code]))
         channels = {}
         for name, dt in descs:
-            buf = _read_exact(f, h * w * dt.itemsize, f"plane {name}")
+            buf = read(h * w * dt.itemsize, f"plane {name}")
             arr = np.frombuffer(buf, dtype=dt).reshape(h, w)
             channels[name] = arr.astype(np.uint8) if dt == np.dtype("u1") else arr.astype(np.float32)
     return Raster(channels=channels, raster_id=raster_id or str(path))
@@ -151,7 +163,7 @@ def read_ppm(path):
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 0 or h < 0:
             raise DataError(f"{path}: negative extent {w}x{h}")
-        buf = _read_exact(f, w * h * 3, "pixel data")
+        buf = _exact_reader(f)(w * h * 3, "pixel data")
         return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
@@ -199,8 +211,6 @@ class TileSet:
     tile_size: int
     stride: int
     origins: list  # (row, col), row-major order
-    padded_height: int
-    padded_width: int
 
 
 def _axis_origins(extent, tile, stride):
@@ -210,7 +220,7 @@ def _axis_origins(extent, tile, stride):
     return origins
 
 
-def tile_raster(raster, tile_size=1024, overlap=0.66):
+def tile_raster(raster, tile_size, overlap):
     """Regular-grid tiling; stride = round(tile * (1 - overlap)), half-up.
 
     Overhanging last row/column tiles are zero padded on extraction.
@@ -222,14 +232,11 @@ def tile_raster(raster, tile_size=1024, overlap=0.66):
         raise ConfigurationError("overlap too large: stride rounds to zero")
     rows = _axis_origins(raster.height, tile_size, stride)
     cols = _axis_origins(raster.width, tile_size, stride)
-    origins = [(r, c) for r in rows for c in cols]
     return TileSet(
         raster_id=raster.raster_id,
         tile_size=tile_size,
         stride=stride,
-        origins=origins,
-        padded_height=max(raster.height, rows[-1] + tile_size),
-        padded_width=max(raster.width, cols[-1] + tile_size),
+        origins=[(r, c) for r in rows for c in cols],
     )
 
 
@@ -330,7 +337,7 @@ def _footprints_overlap(a, b, tile):
     return abs(ra - rb) < tile and abs(ca - cb) < tile
 
 
-def split_train_val(tilesets, fraction=0.10, seed=0):
+def split_train_val(tilesets, fraction, seed):
     """Seeded validation selection plus removal of overlapping train tiles.
 
     ``tilesets``: list of TileSet.  Returns (train_ids, val_ids, dropped_ids)

@@ -28,7 +28,6 @@ class StitchPlan:
     height: int
     width: int
     tile: int
-    stride: int
     center: int
     margin: int
     pad_rows: tuple
@@ -60,7 +59,7 @@ def _axis_plan(extent, tile, stride, margin):
     return (pad_before, pad_after), tuple(origins)
 
 
-def plan_stitch(height, width, tile=1024, stride=256, center=512):
+def plan_stitch(height, width, tile, stride, center):
     if center > tile or (tile - center) % 2:
         raise ConfigurationError("center region must fit the crop with equal margins")
     if stride > center:
@@ -68,7 +67,7 @@ def plan_stitch(height, width, tile=1024, stride=256, center=512):
     margin = (tile - center) // 2
     pad_rows, row_origins = _axis_plan(height, tile, stride, margin)
     pad_cols, col_origins = _axis_plan(width, tile, stride, margin)
-    return StitchPlan(height=height, width=width, tile=tile, stride=stride,
+    return StitchPlan(height=height, width=width, tile=tile,
                       center=center, margin=margin, pad_rows=pad_rows,
                       pad_cols=pad_cols, row_origins=row_origins,
                       col_origins=col_origins)
@@ -121,7 +120,7 @@ def model_crop_predictor(model):
     return predict
 
 
-def infer_full_raster(model, raster, tile=1024, stride=256, center=512):
+def infer_full_raster(model, raster, tile, stride, center):
     """Full-raster (probability raster, label raster) via overlapping crops.
 
     Labels are the per-pixel argmax; probability ties break to the lowest
@@ -146,7 +145,7 @@ class EvalResult:
     overall_accuracy: float
 
 
-def evaluate(pred_labels, true_labels, num_classes=6):
+def evaluate(pred_labels, true_labels, num_classes=len(data.CLASS_NAMES)):
     pred = np.asarray(pred_labels).ravel()
     true = np.asarray(true_labels).ravel()
     if pred.shape != true.shape:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,15 @@ from .network import Model, NoiseRates
 
 PHASE_INITIAL = "initial"
 PHASE_FINE_TUNING = "fine_tuning"
+_UNFREEZE_AT = {1: 2, 2: 1}  # fine-tuning plateau number -> primary block it unfreezes
 
 
 @dataclass
 class PlateauTracker:
     """Fires when the validation loss has not improved for a full window."""
 
-    window: int = 25000
-    threshold: float = 1e-6
+    window: int
+    threshold: float
     best_loss: float = math.inf
     best_iteration: int = 0
 
@@ -76,7 +77,14 @@ class TrainState:
     iteration: int = 0
     phase: str = PHASE_INITIAL
     fine_plateau_count: int = 0
-    unfrozen_blocks: list = field(default_factory=list)
+
+    @property
+    def unfrozen_blocks(self):
+        """Primary encoder blocks unfrozen so far, in order; a block the
+        network lacks is never unfrozen."""
+        return [block for plateau, block in _UNFREEZE_AT.items()
+                if plateau <= self.fine_plateau_count
+                and block <= self.model.config.num_encoder_blocks]
 
 
 def _set_trainable(params, block, flag):
@@ -133,13 +141,10 @@ def on_plateau(state):
         return
     state.noiserates.decay()
     state.fine_plateau_count += 1
-    block = {1: 2, 2: 1}.get(state.fine_plateau_count)
+    block = _UNFREEZE_AT.get(state.fine_plateau_count)
     if block is not None:
-        names = _set_trainable(state.model.params, f"encoder.primary.block{block}", True)
-        for n in names:
+        for n in _set_trainable(state.model.params, f"encoder.primary.block{block}", True):
             state.velocities.setdefault(n, np.zeros_like(state.model.params[n].data))
-        if names:
-            state.unfrozen_blocks.append(block)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,7 @@ def on_plateau(state):
 # TrainState fields the checkpoint header stores as plain JSON values, with
 # the type each must load as
 _HEADER_SCALARS = (("iteration", int), ("phase", str), ("lr", float), ("momentum", float),
-                  ("fine_tuning_momentum", float), ("fine_plateau_count", int),
-                  ("unfrozen_blocks", list), ("seed", int))
+                  ("fine_tuning_momentum", float), ("fine_plateau_count", int), ("seed", int))
 
 
 def state_to_checkpoint(path, state, config_digest, config_text=""):
@@ -182,9 +186,9 @@ def state_from_checkpoint(path, network_config, expected_digest=None, override=F
 def state_from_tensors(header, tensors, network_config):
     """The TrainState held by a loaded checkpoint's ``header`` and
     ``tensors``; float32 parameters and velocities are used in place. A
-    missing or malformed header entry (integers must be non-negative) raises
-    ``DataError`` naming it, as does a trainable parameter without a
-    velocity of its shape."""
+    missing or malformed header entry (integers must be non-negative, the
+    phase a known one) raises ``DataError`` naming it, as does a trainable
+    parameter without a velocity of its shape. Other keys are ignored."""
 
     def value(key, kind, parse=lambda v: v):
         try:
@@ -194,6 +198,8 @@ def state_from_tensors(header, tensors, network_config):
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataError(f"checkpoint header: missing or malformed {key!r}") from exc
 
+    if header.get("phase") not in (PHASE_INITIAL, PHASE_FINE_TUNING):
+        raise DataError("checkpoint header: missing or malformed 'phase'")
     model = Model.from_arrays(network_config, {
         key[len("param:"):]: arr for key, arr in tensors.items() if key.startswith("param:")})
     frozen = value("frozen", list, set)

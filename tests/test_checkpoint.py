@@ -12,8 +12,6 @@ import pytest
 from orthoseg import checkpoint as ckpt
 from orthoseg.errors import ConfigurationError, DataError
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def sample_tensors():
     rng = np.random.default_rng(0)

