@@ -214,60 +214,37 @@ def max_pool2(x):
     return _node(out, (x,), bwd)
 
 
-def _pool_geometry(h, w, k, stride, padding):
-    if padding == "same":
-        ho = -(-h // stride)
-        wo = -(-w // stride)
-        pht = max((ho - 1) * stride + k - h, 0)
-        pwt = max((wo - 1) * stride + k - w, 0)
-        ph0, pw0 = pht // 2, pwt // 2
-        ph1, pw1 = pht - ph0, pwt - pw0
-    elif padding == "valid":
-        ho = (h - k) // stride + 1
-        wo = (w - k) // stride + 1
-        ph0 = ph1 = pw0 = pw1 = 0
-    else:
-        raise ConfigurationError(f"unknown padding {padding!r}")
-    if ho < 1 or wo < 1:
-        raise ConfigurationError("pool window exceeds input")
-    return ho, wo, ph0, ph1, pw0, pw1
+def avg_pool(x, k, stride=1, padding="same"):
+    """k x k mean pooling with stride 1 and ``same`` padding for odd ``k``,
+    the one geometry it accepts.  The divisor is the count of in-bounds
+    taps, so a constant input stays constant at the borders.
 
-
-def avg_pool(x, k, stride=1, padding="valid"):
-    """k x k mean pooling.  With ``same`` padding the divisor is the count of
-    in-bounds taps, so a constant input stays constant at the borders.
-
-    The window sum is separable (1-D box sums along H, then W; transposed in
-    the backward), and the divisor is that box sum of the padded ones mask.
+    The window sum is separable (1-D box sums along H, then W), and the
+    divisor is that box sum of the padded ones mask.  A centered box is its
+    own adjoint, so the backward box-sums the zero-padded ``g / counts``.
     """
-    n, c, h, w = x.data.shape
-    ho, wo, ph0, ph1, pw0, pw1 = _pool_geometry(h, w, k, stride, padding)
-    hspan, wspan = (ho - 1) * stride + 1, (wo - 1) * stride + 1
-    pads = ((ph0, ph1), (pw0, pw1))
+    if k < 1 or k % 2 == 0 or stride != 1 or padding != "same":
+        raise ConfigurationError(
+            f"avg_pool takes an odd k, stride 1 and same padding, got {k}, {stride}, {padding!r}")
+    h, w = x.data.shape[2:]
+    r = k // 2
+    pads = ((0, 0), (0, 0), (r, r), (r, r))
 
     def box(a):
-        rows = a[..., 0:hspan:stride, :].copy()
+        rows = a[..., 0:h, :].copy()
         for i in range(1, k):
-            rows += a[..., i : i + hspan : stride, :]
-        total = rows[..., 0:wspan:stride].copy()
+            rows += a[..., i : i + h, :]
+        total = rows[..., 0:w].copy()
         for j in range(1, k):
-            total += rows[..., j : j + wspan : stride]
+            total += rows[..., j : j + w]
         return total
 
-    counts = box(np.pad(np.ones((h, w), dtype=x.data.dtype), pads))
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + pads)
-    out = box(xp)
+    counts = box(np.pad(np.ones((h, w), dtype=x.data.dtype), r))
+    out = box(np.pad(x.data, pads))
     out /= counts
 
     def bwd(g):
-        gdiv = g / counts
-        grows = np.zeros((n, c, ho, xp.shape[3]), dtype=g.dtype)
-        for j in range(k):
-            grows[..., j : j + wspan : stride] += gdiv
-        gx_pad = np.zeros(xp.shape, dtype=g.dtype)
-        for i in range(k):
-            gx_pad[..., i : i + hspan : stride, :] += grows
-        return (gx_pad[..., ph0 : ph0 + h, pw0 : pw0 + w],)
+        return (box(np.pad(g / counts, pads)),)
 
     return _node(out, (x,), bwd)
 
@@ -309,10 +286,6 @@ def add(a, b):
         return g, g
 
     return _node(out, (a, b), bwd)
-
-
-def sub(a, b):
-    return add(a, scale_const(b, -1.0))
 
 
 def mul(a, b):

@@ -157,9 +157,7 @@ def cmd_infer(args):
         raise DataError(f"{args.ckpt}: stored run config: {exc}") from exc
     state = trainer.state_from_tensors(header, tensors, net_cfg)
     raster = data.read_mcr(args.image)
-    tile = cfg.tile_size
-    probs, labels = inference.infer_full_raster(
-        state.model, raster, tile=tile, stride=tile // 4, center=tile // 2)
+    probs, labels = inference.infer_full_raster(state.model, raster, **cfg.stitch_geometry())
     data.write_ppm(args.out + "_prediction.ppm", data.colorize(labels.astype(np.uint8)))
     np.save(args.out + "_probabilities.npy", probs.astype(np.float32))
     print(f"wrote {args.out}_prediction.ppm and {args.out}_probabilities.npy")

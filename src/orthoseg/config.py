@@ -130,6 +130,12 @@ class RunConfig:
         return NoiseRates(encoder=table, decoder=dict(table),
                           sccb=self.noiserate_sccb, residual=self.noiserate_residual)
 
+    def stitch_geometry(self):
+        """``infer_full_raster`` crop geometry for ``tile_size``: crops on a
+        quarter-tile stride, each keeping its central half."""
+        t = self.tile_size
+        return {"tile": t, "stride": t // 4, "center": t // 2}
+
     @classmethod
     def desk(cls, **overrides):
         """Desk-scale defaults for CPU verification runs."""

@@ -209,7 +209,6 @@ def decode_label_colors(rgb):
 class TileSet:
     raster_id: str
     tile_size: int
-    stride: int
     origins: list  # (row, col), row-major order
 
 
@@ -235,7 +234,6 @@ def tile_raster(raster, tile_size, overlap):
     return TileSet(
         raster_id=raster.raster_id,
         tile_size=tile_size,
-        stride=stride,
         origins=[(r, c) for r in rows for c in cols],
     )
 

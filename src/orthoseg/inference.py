@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,11 @@ def evaluate(pred_labels, true_labels, num_classes=len(data.CLASS_NAMES)):
     true = np.asarray(true_labels).ravel()
     if pred.shape != true.shape:
         raise ConfigurationError(f"label shapes differ: {pred.shape} vs {true.shape}")
-    confusion = np.bincount(true * num_classes + pred,
+    for what, labels in (("predicted", pred), ("true", true)):
+        if not np.issubdtype(labels.dtype, np.integer) or (
+                labels.size and (labels.min() < 0 or labels.max() >= num_classes)):
+            raise DataError(f"{what} labels must be integers in [0, {num_classes})")
+    confusion = np.bincount(true.astype(np.intp) * num_classes + pred.astype(np.intp),
                             minlength=num_classes * num_classes)
     confusion = confusion.reshape(num_classes, num_classes)
     f1, present = [], []

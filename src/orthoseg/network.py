@@ -186,6 +186,22 @@ def param_layout(cfg):
     return layout
 
 
+def _input_feeds(x, levels):
+    """The decoder's raw-input feeds from ``x``, the concatenated input
+    array: ``feeds[k]`` is the 1/2^k level of its 2x2-mean pyramid followed
+    by that level's 5x5 high-pass sub-map.  They depend only on the input,
+    so they are built once per forward as arrays and carry no gradient."""
+    feeds = []
+    level = x
+    for k in range(levels):
+        if k:
+            rows = level[:, :, 0::2] + level[:, :, 1::2]
+            level = (rows[..., 0::2] + rows[..., 1::2]) / 4
+        sub_map = level - ad.avg_pool(Tensor(level), 5).data
+        feeds.append(Tensor(np.concatenate([level, sub_map], axis=1)))
+    return feeds
+
+
 class Model:
     """A built network: immutable config plus ``params``, a dict of
     parameter name -> Tensor in ``param_layout`` order; trainability lives
@@ -283,14 +299,7 @@ class Model:
             corr = conv(feats, f"{prefix}.decision")
             return feats, tap(f"{prefix}.decisions_out", ad.add(decis, corr))
 
-        # per-block raw-input feeds: the input pyramid and its 5x5 high-pass
-        # sub-maps, built once per forward since they depend only on the input
-        net_input = ad.concat_channels([primary, auxiliary])
-        pyramid = {1: net_input}
-        for lvl in range(1, e):
-            pyramid[1 << lvl] = ad.avg_pool(pyramid[1 << (lvl - 1)], 2, stride=2, padding="valid")
-        sub_maps = {lvl: ad.sub(inp, ad.avg_pool(inp, 5, stride=1, padding="same"))
-                    for lvl, inp in pyramid.items()}
+        feeds = _input_feeds(np.concatenate([primary.data, auxiliary.data], axis=1), e)
 
         def encode(side, x):
             skips = []
@@ -322,7 +331,7 @@ class Model:
             d_up = ad.upsample2(decis)
             feats, decis = refine(f"decoder.block{j}", [
                 noise(f_up, "decoder"), noise(p_skips[e - j], "decoder"),
-                noise(a_skips[e - j], "decoder"), pyramid[1 << (e - j)], sub_maps[1 << (e - j)],
+                noise(a_skips[e - j], "decoder"), feeds[e - j],
             ], "decoder", d_up)
 
         decis = ad.scale_const(decis, 1.0 / cfg.output_scale_divisor)
@@ -331,7 +340,7 @@ class Model:
             feats = tap(f"residual.block{r}.features_in", feats)
             f_gated = tap(f"residual.block{r}.features_gated", ad.stop_gradient(feats))
             feats, decis = refine(f"residual.block{r}",
-                                  [noise(f_gated, "residual"), pyramid[1], sub_maps[1]],
+                                  [noise(f_gated, "residual"), feeds[0]],
                                   "residual", decis)
 
         # SCCB: fully gated side branch, ungated residual identity

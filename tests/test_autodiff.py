@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthoseg import autodiff as ad
+from orthoseg import network
 from orthoseg.errors import ConfigurationError, OrthosegError
 
 
@@ -173,36 +174,30 @@ class TestMaxPool2:
             ad.max_pool2(t64(np.ones((1, 1, 3, 4))))
 
 
-def avg_pool_oracle(x, k, stride, padding):
-    """Edge-corrected mean via explicit window loops."""
+def avg_pool_oracle(x, k):
+    """Edge-corrected k x k stride-1 ``same`` mean via explicit window loops."""
     n, c, h, w = x.shape
-    if padding == "same":
-        ho, wo = -(-h // stride), -(-w // stride)
-        pht = max((ho - 1) * stride + k - h, 0)
-        pwt = max((wo - 1) * stride + k - w, 0)
-        ph0, pw0 = pht // 2, pwt // 2
-    else:
-        ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
-        ph0 = pw0 = 0
-    out = np.zeros((n, c, ho, wo))
+    r = k // 2
+    out = np.zeros((n, c, h, w))
     for nn in range(n):
         for cc in range(c):
-            for y in range(ho):
-                for xx in range(wo):
+            for y in range(h):
+                for xx in range(w):
                     vals = []
                     for i in range(k):
                         for j in range(k):
-                            r, s = y * stride + i - ph0, xx * stride + j - pw0
-                            if 0 <= r < h and 0 <= s < w:
-                                vals.append(x[nn, cc, r, s])
+                            rr, ss = y + i - r, xx + j - r
+                            if 0 <= rr < h and 0 <= ss < w:
+                                vals.append(x[nn, cc, rr, ss])
                     out[nn, cc, y, xx] = sum(vals) / len(vals)
     return out
 
 
 class TestAvgPool:
     def test_single_window(self):
+        # every 3x3 window covers the whole 2x2 input
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert ad.avg_pool(x, 2, stride=2, padding="valid").data[0, 0, 0, 0] == 2.5
+        np.testing.assert_array_equal(ad.avg_pool(x, 3, stride=1, padding="same").data, 2.5)
 
     def test_constant_stays_constant_with_edges(self):
         x = t64(np.full((1, 1, 7, 7), 3.25))
@@ -211,22 +206,21 @@ class TestAvgPool:
 
     def test_matches_edge_corrected_oracle(self):
         rng = np.random.default_rng(4)
-        for shape, k, stride in [((1, 1, 9, 9), 5, 1), ((2, 2, 7, 8), 3, 2)]:
+        for shape, k in [((1, 1, 9, 9), 5), ((2, 2, 7, 8), 3)]:
             x = rng.normal(size=shape)
             xt = t64(x, rg=True)
-            out = ad.avg_pool(xt, k, stride=stride, padding="same")
-            expected = avg_pool_oracle(x, k, stride, "same")
+            out = ad.avg_pool(xt, k, stride=1, padding="same")
+            expected = avg_pool_oracle(x, k)
             np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
             g = rng.normal(size=expected.shape)
             ad.backward(ad.tsum(ad.mul(out, t64(g))))
             np.testing.assert_allclose(
-                xt.grad, linear_grad(lambda v: avg_pool_oracle(v, k, stride, "same"), shape, g), rtol=1e-12, atol=1e-12)
+                xt.grad, linear_grad(lambda v: avg_pool_oracle(v, k), shape, g), rtol=1e-12, atol=1e-12)
 
-    def test_stride2_downsample(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 8, 8))
-        out = ad.avg_pool(t64(x), 2, stride=2, padding="valid").data
-        np.testing.assert_allclose(out, avg_pool_oracle(x, 2, 2, "valid"), rtol=1e-12)
+    @pytest.mark.parametrize("k, stride, padding", [(2, 2, "valid"), (3, 2, "same"), (4, 1, "same")])
+    def test_other_geometries_rejected(self, k, stride, padding):
+        with pytest.raises(ConfigurationError):
+            ad.avg_pool(t64(np.ones((1, 1, 8, 8))), k, stride, padding)
 
 
 class TestUpsample2:
@@ -237,11 +231,12 @@ class TestUpsample2:
         np.testing.assert_array_equal(out[0, 0], expected)
 
     def test_avg_pool_inverts(self):
+        # the decoder feeds' 2x2-mean level of an upsampled map is the map
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 2, 4, 4))
-        up = ad.upsample2(t64(x))
-        down = ad.avg_pool(up, 2, stride=2, padding="valid").data
-        np.testing.assert_allclose(down, x, rtol=1e-12)
+        up = ad.upsample2(t64(x)).data
+        down = network._input_feeds(up, 2)[1].data[:, :2]
+        np.testing.assert_array_equal(down, x)
 
     def test_gradient_of_sum_is_four(self):
         x = t64(np.random.default_rng(7).normal(size=(1, 1, 3, 3)), rg=True)

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthoseg import checkpoint, data
+from orthoseg import checkpoint, data, inference, trainer
 from orthoseg.cli import build_parser, main
 from orthoseg.config import RunConfig
+from orthoseg.network import Model
 
 
 def run(argv):
@@ -168,6 +169,25 @@ def test_infer_reads_checkpoint_once(pipeline, tmp_path, monkeypatch):
     monkeypatch.setattr(checkpoint, "load_checkpoint", lambda p: calls.append(p) or load(p))
     assert run(["infer", "--ckpt", ckpt, "--image", image, "--out", str(tmp_path / "p")]) == 0
     assert calls == [ckpt]
+
+
+def test_infer_uses_run_config_stitch_geometry(tmp_path, monkeypatch):
+    cfg = RunConfig.desk()
+    ckpt = str(tmp_path / "desk.ckpt")
+    state = trainer.init_state(Model.build(cfg.network_config(), seed=0), cfg)
+    trainer.state_to_checkpoint(ckpt, state, cfg.digest(), cfg.serialize())
+    image = str(tmp_path / "scene.mcr")
+    data.write_mcr(image, data.synth_dataset(1, 16, 0)[0])
+    calls = []
+
+    def fake_infer(model, raster, **geometry):
+        calls.append(geometry)
+        shape = (raster.height, raster.width)
+        return np.full((6, *shape), 1 / 6), np.zeros(shape, dtype=np.int64)
+
+    monkeypatch.setattr(inference, "infer_full_raster", fake_infer)
+    assert run(["infer", "--ckpt", ckpt, "--image", image, "--out", str(tmp_path / "p")]) == 0
+    assert calls == [{"tile": 64, "stride": 16, "center": 32}]
 
 
 def test_truncated_checkpoint_exits_data_code(pipeline, tmp_path, capsys):

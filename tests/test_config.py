@@ -77,6 +77,12 @@ def test_desk_preset_overrides():
     assert cfg.tile_size == 64
 
 
+def test_stitch_geometry_of_desk_preset():
+    cfg = RunConfig.desk()
+    assert cfg.stitch_geometry() == {"tile": 64, "stride": 16, "center": 32}
+    assert "stitch" not in cfg.serialize()  # derived, not stored
+
+
 def test_noiserates_bucketing():
     nr = RunConfig().noiserates()
     assert nr.rate("encoder", 64) == 0.0625

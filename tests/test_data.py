@@ -37,26 +37,28 @@ def origins_oracle(extent, tile, stride):
 class TestTiling:
     def test_extent10_tile4_overlap066(self):
         ts = data.tile_raster(make_raster(10, 10), tile_size=4, overlap=0.66)
-        assert ts.stride == 1
         rows = sorted({r for r, _ in ts.origins})
+        assert rows[1] - rows[0] == 1  # round(4 * 0.34) = 1
         assert rows == list(range(7)) == origins_oracle(10, 4, 1)
         assert rows[-1] + ts.tile_size == 10  # no padding needed
 
     def test_extent9_tile4_overlap05(self):
         ts = data.tile_raster(make_raster(9, 9), tile_size=4, overlap=0.5)
-        assert ts.stride == 2
         rows = sorted({r for r, _ in ts.origins})
+        assert rows[1] - rows[0] == 2
         assert rows == [0, 2, 4, 6] == origins_oracle(9, 4, 2)
         assert rows[-1] + ts.tile_size == 10  # last tile padded by 1
 
     def test_overlap_zero_nonoverlapping(self):
         ts = data.tile_raster(make_raster(12, 12), tile_size=4, overlap=0.0)
-        assert ts.stride == 4
-        assert sorted({r for r, _ in ts.origins}) == [0, 4, 8]
+        rows = sorted({r for r, _ in ts.origins})
+        assert rows[1] - rows[0] == 4
+        assert rows == [0, 4, 8]
 
     def test_paper_stride(self):
         ts = data.tile_raster(make_raster(2048, 2048), tile_size=1024, overlap=0.66)
-        assert ts.stride == 348
+        rows = sorted({r for r, _ in ts.origins})
+        assert rows[1] - rows[0] == 348  # 1024 * 0.34 = 348.16 rounds to 348
 
     def test_bad_overlap_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -210,7 +212,7 @@ class TestSplit:
     def test_fully_overlapping_pair_partner_dropped(self):
         # two overlapping tiles plus one far away; whichever of the pair is
         # chosen for validation, its partner must be dropped from training
-        ts = TileSet(raster_id="x", tile_size=4, stride=1,
+        ts = TileSet(raster_id="x", tile_size=4,
                      origins=[(0, 0), (0, 1), (0, 100)])
         for seed in range(10):
             train, val, dropped = data.split_train_val([ts], fraction=0.34, seed=seed)

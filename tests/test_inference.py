@@ -5,7 +5,7 @@ import pytest
 
 from orthoseg import data, inference
 from orthoseg.config import RunConfig
-from orthoseg.errors import ConfigurationError
+from orthoseg.errors import ConfigurationError, DataError
 from orthoseg.inference import (evaluate, format_report, infer_full_raster,
                                 plan_stitch, stitch_predict)
 from orthoseg.network import Model
@@ -191,6 +191,26 @@ def test_metrics_absent_class():
 def test_metrics_shape_mismatch():
     with pytest.raises(ConfigurationError):
         evaluate([0, 1], [0, 1, 2])
+
+
+@pytest.mark.parametrize("pred, true", [
+    ([7], [0]),    # out of range, would count as a correct class-1 pixel
+    ([6], [5]),    # one past the last class
+    ([-1], [0]),   # negative
+    ([], []),      # float64 empty array: not integer labels
+    ([0.0], [0]),  # float labels
+])
+def test_metrics_reject_labels_outside_classes(pred, true):
+    with pytest.raises(DataError):
+        evaluate(pred, true)
+    with pytest.raises(DataError):
+        evaluate(true, pred)
+
+
+def test_metrics_empty_integer_labels():
+    res = evaluate(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
+    np.testing.assert_array_equal(res.confusion, np.zeros((6, 6)))
+    assert res.overall_accuracy == 0.0
 
 
 def test_format_report_columns():

@@ -3,7 +3,7 @@ import pytest
 
 from orthoseg import autodiff as ad
 from orthoseg.errors import ConfigurationError, OrthosegError
-from orthoseg.network import Model, NetworkConfig, NoiseRates, param_layout
+from orthoseg.network import Model, NetworkConfig, NoiseRates, _input_feeds, param_layout
 
 
 def expected_param_count(cfg):
@@ -136,6 +136,55 @@ class TestFromArrays:
         arrays["decoder.block1.conv1.weight"] = arrays["decoder.block1.conv1.weight"][:, :-1]
         with pytest.raises(OrthosegError, match="shape mismatch for decoder.block1.conv1.weight"):
             Model.from_arrays(cfg, arrays)
+
+
+def feeds_oracle(x, levels):
+    """Loop oracle of the decoder's raw-input feeds: 2x2 block means build
+    each level from the one above; each feed is the level followed by the
+    level minus its edge-corrected 5x5 mean."""
+    n, c = x.shape[:2]
+    feeds, level = [], x
+    for k in range(levels):
+        if k:
+            h, w = level.shape[2] // 2, level.shape[3] // 2
+            down = np.zeros((n, c, h, w))
+            for idx in np.ndindex(n, c, h, w):
+                b, ch, y, xx = idx
+                down[idx] = sum(level[b, ch, 2 * y + i, 2 * xx + j] for i in (0, 1) for j in (0, 1)) / 4
+            level = down
+        h, w = level.shape[2:]
+        mean = np.zeros_like(level)
+        for b, ch, y, xx in np.ndindex(*level.shape):
+            vals = [level[b, ch, r, s] for r in range(y - 2, y + 3) for s in range(xx - 2, xx + 3)
+                    if 0 <= r < h and 0 <= s < w]
+            mean[b, ch, y, xx] = sum(vals) / len(vals)
+        feeds.append(np.concatenate([level, level - mean], axis=1))
+    return feeds
+
+
+class TestInputFeeds:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_matches_loop_oracle(self, levels):
+        x = np.random.default_rng(levels).normal(size=(2, 3, 16, 8))
+        feeds = _input_feeds(x, levels)
+        expected = feeds_oracle(x, levels)
+        assert len(feeds) == levels
+        for got, want in zip(feeds, expected):
+            assert not got.requires_grad
+            np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+    def test_float32_means_are_pairwise_rows_then_columns(self):
+        # the reference is the pairwise sum the pyramid has always used; it
+        # keeps the sign of a sum of negative zeros
+        x = np.random.default_rng(9).normal(size=(1, 6, 16, 16)).astype(np.float32)
+        x[0, 0, :4, :4] = -0.0
+        feeds = _input_feeds(x, 3)
+        level = x
+        for feed in feeds[1:]:
+            rows = level[:, :, 0::2] + level[:, :, 1::2]
+            level = (rows[..., 0::2] + rows[..., 1::2]) / np.float32(4)
+            assert feed.data.dtype == np.float32
+            assert feed.data[:, :6].tobytes() == level.tobytes()
 
 
 class TestForward:
