@@ -1,9 +1,10 @@
 """Dense tensor arithmetic with reverse-mode automatic differentiation.
 
 Rank-4 layout everywhere is (batch, channels, height, width).  Forward ops
-record a tape of closures; ``backward`` walks it once in reverse topological
-order.  Gradient gating is implemented by ``stop_gradient``, which cuts the
-tape so a gated edge contributes exactly zero gradient.
+record a tape of closures; ``backward`` walks it once in reverse creation
+order (an op's output is created after its inputs).  Gradient gating is
+``stop_gradient``, which cuts the tape so a gated edge contributes exactly
+zero gradient.
 
 float32 is the working precision; float64 is available for gradient
 verification (``finite_diff_check``).
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, OrthosegError
 
 _grad_enabled = True
+_creation = itertools.count()  # Tensor creation index, for the tape walk
 
 
 @contextlib.contextmanager
@@ -37,7 +39,7 @@ def no_grad():
 class Tensor:
     """A dense array plus its place in the differentiation tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_index")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -50,6 +52,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._index = next(_creation)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -58,8 +61,8 @@ class Tensor:
 def _node(data, parents, backward_fn):
     """Create an op output, recording the tape edge when grads are on."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
@@ -72,23 +75,14 @@ def backward(loss):
     """
     if loss.data.size != 1:
         raise OrthosegError("backward requires a scalar loss")
-    topo = []
-    seen = set()
-    stack = [(loss, False)]
+    nodes, stack = {loss._index: loss}, [loss]
     while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        for p in stack.pop()._parents:
+            if p._index not in nodes:
+                nodes[p._index] = p
+                stack.append(p)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    for _, node in sorted(nodes.items(), reverse=True):
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad)
@@ -130,12 +124,13 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
 
     x: (N,Ci,H,W); weights: (Co,Ci,kh,kw); bias: (Co,); output (N,Co,H,W).
 
-    Each image is zero-padded once (plus a spare zero row) into a flat
-    (Ci, Hp*Wp) buffer; output pixel (y, x) is flat column y*Wp + x, so tap
-    (i, j) is one GEMM on the view ``xp[:, off:off+H*Wp]``, off = i*d*Wp + j*d
-    (MEC-style shifted matrices, no im2col copy).  The Wp - W wrap-around
-    columns per row are sliced off; the backward reuses the same views and
-    needs those columns of the flat output gradient to be exactly zero.
+    The N zero-padded images (plus a spare zero row each) sit side by side
+    in one flat (Ci, N*Hp*Wp) buffer; output pixel (b, y, x) is column
+    b*Hp*Wp + y*Wp + x, so tap (i, j) is one batch-wide GEMM on the view
+    ``xp[:, off:off+L]``, off = i*d*Wp + j*d, L = (N-1)*Hp*Wp + H*Wp
+    (MEC-style shifted matrices, no im2col copy).  The spare row keeps every
+    kept output inside its own image's block; the other columns are sliced
+    off, and the backward reuses the views with them zero in the gradient.
     A small conv runs each tap's GEMMs over column blocks (``_column_blocks``).
     Gradients of tensors that do not require one are returned as None.
     """
@@ -153,38 +148,38 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
         raise ConfigurationError("same padding needs odd effective kernel extent")
     ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
     hp, wp = h + 2 * ph + 1, w + 2 * pw
-    length = h * wp
+    length = (n - 1) * hp * wp + h * wp
     taps = [(i, j, i * dilation * wp + j * dilation) for i in range(kh) for j in range(kw)]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph + 1), (pw, pw))).reshape(n, ci, hp * wp)
+    xp = np.zeros((ci, n * hp * wp), dtype=x.data.dtype)
+    xp.reshape(ci, n, hp, wp)[:, :, ph : ph + h, pw : pw + w] = x.data.transpose(1, 0, 2, 3)
     wtap = np.ascontiguousarray(weights.data.transpose(2, 3, 0, 1))  # (kh,kw,Co,Ci)
-    out = np.empty((n, co, h, w), dtype=x.data.dtype)
-    acc, tmp = np.empty((2, co, length), dtype=x.data.dtype)
+    acc, tmp = np.empty((2, co, n * hp * wp), dtype=x.data.dtype)
     blocks = _column_blocks(co * ci, length)
-    for b in range(n):
-        for c0, c1 in blocks:
-            a, t = acc[:, c0:c1], tmp[:, c0:c1]
-            np.matmul(wtap[0, 0], xp[b, :, c0:c1], out=a)
-            for i, j, off in taps[1:]:
-                a += np.matmul(wtap[i, j], xp[b, :, off + c0 : off + c1], out=t)
-        np.add(acc.reshape(co, h, wp)[:, :, :w], bias.data.reshape(co, 1, 1), out=out[b])
+    for c0, c1 in blocks:
+        a, t = acc[:, c0:c1], tmp[:, c0:c1]
+        np.matmul(wtap[0, 0], xp[:, c0:c1], out=a)
+        for i, j, off in taps[1:]:
+            a += np.matmul(wtap[i, j], xp[:, off + c0 : off + c1], out=t)
+    out = np.empty((n, co, h, w), dtype=x.data.dtype)
+    np.add(acc.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3),
+           bias.data.reshape(co, 1, 1), out=out)
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3)).astype(bias.data.dtype) if bias.requires_grad else None
         gw = np.zeros_like(wtap) if weights.requires_grad else None
         gx = np.zeros_like(xp) if x.requires_grad else None
-        gflat = np.zeros((co, h, wp), dtype=g.dtype)
+        gf = np.zeros((co, n * hp * wp), dtype=g.dtype)
+        gf.reshape(co, n, hp, wp)[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
         tmp = np.empty((ci, length), dtype=x.data.dtype)
-        for b in range(n):
-            gflat[:, :, :w] = g[b]
-            gf = gflat.reshape(co, length)
-            for (i, j, off), (c0, c1) in itertools.product(taps, blocks):
-                if gw is not None:
-                    gw[i, j] += gf[:, c0:c1] @ xp[b, :, off + c0 : off + c1].T
-                if gx is not None:
-                    gx[b, :, off + c0 : off + c1] += np.matmul(wtap[i, j].T, gf[:, c0:c1], out=tmp[:, c0:c1])
+        for (i, j, off), (c0, c1) in itertools.product(taps, blocks):
+            if gw is not None:
+                gw[i, j] += gf[:, c0:c1] @ xp[:, off + c0 : off + c1].T
+            if gx is not None:
+                gx[:, off + c0 : off + c1] += np.matmul(wtap[i, j].T, gf[:, c0:c1], out=tmp[:, c0:c1])
         gw = None if gw is None else gw.transpose(2, 3, 0, 1)
-        gx = None if gx is None else gx.reshape(n, ci, hp, wp)[:, :, ph : ph + h, pw : pw + w]
+        if gx is not None:
+            gx = gx.reshape(ci, n, hp, wp)[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
         return gx, gw, gb
 
     return _node(out, (x, weights, bias), bwd)
@@ -265,14 +260,13 @@ def upsample2(x):
 
 
 def elu(x):
-    """Exponential linear unit, alpha = 1."""
-    pos = x.data > 0
-    # expm1 only ever contributes on the non-positive side; clamp its input
-    # so the discarded branch cannot overflow
-    out = np.where(pos, x.data, np.expm1(np.minimum(x.data, 0)))
+    """Exponential linear unit, alpha = 1.  expm1(x) > x below 0, so it is
+    the larger of x and expm1(min(x, 0)) (clamped so it cannot overflow),
+    and its derivative, 1 above 0 and out + 1 at or below, is min(out + 1, 1)."""
+    out = np.maximum(x.data, np.expm1(np.minimum(x.data, 0)))
 
     def bwd(g):
-        return (g * np.where(pos, x.data.dtype.type(1), out + 1),)
+        return (g * np.minimum(out + 1, 1),)
 
     return _node(out, (x,), bwd)
 

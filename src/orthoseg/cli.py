@@ -107,11 +107,21 @@ def _load_samples(prepared_dir, names):
 
 
 def _load_manifest(prepared_dir):
+    """``prepared_dir``'s manifest: a JSON object whose ``train`` and ``val``
+    are lists of tile names."""
     path = os.path.join(prepared_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"{prepared_dir}: no manifest.json (run prepare first)")
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not JSON: {exc}") from exc
+    if not (isinstance(manifest, dict) and all(
+            isinstance(manifest.get(split), list) and all(isinstance(n, str) for n in manifest[split])
+            for split in ("train", "val"))):
+        raise DataError(f"{path}: needs a JSON object whose train and val are lists of tile names")
+    return manifest
 
 
 def cmd_train(args):
@@ -215,6 +225,11 @@ def _gradcheck_cases():
     x8, l8 = t64((1, 3, 4, 4)), wloss((1, 3, 4, 4))
     cases.append(("dmgn_frozen_noise", lambda ts: l8(
         ad.dmgn(ts[0], 0.25, True, np.random.default_rng(7))), [x8]))
+    # two images side by side in conv2d's buffer; dilation 3 on 4x5 reaches
+    # the spare row and the next image's block
+    x9, w9, b9, l9 = t64((2, 2, 4, 5)), t64((2, 2, 3, 3), 0.5), t64((2,)), wloss((2, 2, 4, 5))
+    cases.append(("conv2d_batch2_dilation3", lambda ts: l9(
+        ad.conv2d(ts[0], ts[1], ts[2], dilation=3, padding="same")), [x9, w9, b9]))
     return cases
 
 

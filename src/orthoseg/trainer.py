@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from .errors import DataError, NumericalError, OrthosegError
+from .errors import ConfigurationError, DataError, NumericalError, OrthosegError
 from .network import Model, NoiseRates
 
 PHASE_INITIAL = "initial"
@@ -267,10 +267,13 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     ``out_dir/metrics.csv``; checkpoints on every new validation best and
     every ``checkpoint_interval`` iterations.
     """
+    for key in ("eval_interval", "checkpoint_interval"):
+        if getattr(run_cfg, key) < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {getattr(run_cfg, key)}")
     if not train_samples:
-        raise OrthosegError("empty training set")
+        raise DataError("empty training set")
     if not val_samples:
-        raise OrthosegError("validation set required for plateau scheduling")
+        raise DataError("validation set required for plateau scheduling")
     os.makedirs(out_dir, exist_ok=True)
     if state is None:
         state = init_state(model, run_cfg)

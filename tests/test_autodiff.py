@@ -100,6 +100,10 @@ class TestConv2d:
             ((1, 2, 5, 9), 3, 3),  # H != W: wrap-around columns
             ((1, 2, 4, 5), 3, 11),  # off-centre taps read only padding
             ((2, 3, 5, 6), 1, 1),  # 1x1 kernel
+            # three images side by side: dilation 3 on 4x5 reaches the spare
+            # row and the next image's block, so a leak across images shows
+            ((3, 2, 4, 5), 3, 3),
+            ((3, 2, 4, 5), 1, 1),
         ]
         for case in cases:
             check_conv_against_oracle(rng, *case)
@@ -109,7 +113,8 @@ class TestConv2d:
         monkeypatch.setattr(ad, "_BLAS_SERIAL_MACS", 2 * 3 * 5 + 1)
         assert ad._column_blocks(2 * 3, 12) == [(0, 5), (5, 10), (10, 12)]
         rng = np.random.default_rng(4)
-        for case in [((2, 3, 6, 7), 3, 2), ((1, 3, 5, 9), 3, 1)]:
+        cases = [((2, 3, 6, 7), 3, 2), ((1, 3, 5, 9), 3, 1), ((3, 3, 4, 5), 3, 3), ((3, 3, 4, 5), 1, 1)]
+        for case in cases:
             check_conv_against_oracle(rng, *case)
 
     def test_column_blocks_cover_each_tap(self):
@@ -251,6 +256,22 @@ class TestElu:
         assert out[0] == 0.0
         assert out[1] == 2.0
         assert out[2] == pytest.approx(math.exp(-1) - 1, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values_match_closed_form(self, dtype):
+        # x above 0, expm1(x) at or below; derivative 1 above 0, exp(x) at or
+        # below (0 at -inf)
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, -100.0, tiny, -tiny, 1e38, -1.5, 2.5]
+        xs = [dtype(v) for v in values]
+        x = ad.Tensor(np.array(xs, dtype=dtype).reshape(1, 1, 1, -1), requires_grad=True)
+        out = ad.elu(x)
+        ad.backward(ad.tsum(out))
+        assert out.data.dtype == x.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data.ravel(), [v if v > 0 else np.expm1(v) for v in xs])
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(x.grad.ravel(), [1 if v > 0 else np.exp(v) for v in xs],
+                                   rtol=4 * eps, atol=eps)
 
 
 class TestSoftmax:

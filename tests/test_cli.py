@@ -242,3 +242,41 @@ def test_malformed_network_setting_exits_config_code(pipeline, tmp_path, capsys)
     code = run(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
     assert code == 2
     assert "error code=2 kind=ConfigurationError: bad value for primary_filters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["eval_interval", "checkpoint_interval"])
+def test_zero_interval_exits_config_code(pipeline, tmp_path, capsys, key):
+    cfg = RunConfig.desk(tile_size=32, max_iterations=2, data_dir=os.path.join(pipeline["root"], "prep"))
+    setattr(cfg, key, 0)
+    cfg_path = str(tmp_path / "zero.cfg")
+    cfg.save(cfg_path)
+    code = run(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"error code=2 kind=ConfigurationError: {key} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("manifest, detail", [
+    ("{not json", "manifest.json: not JSON"),
+    ("{}", "manifest.json: needs a JSON object"),
+    ("[]", "manifest.json: needs a JSON object"),
+    ('{"train": "a", "val": []}', "manifest.json: needs a JSON object"),
+    ('{"train": [1], "val": []}', "manifest.json: needs a JSON object"),
+    ('{"train": [], "val": []}', "empty training set"),
+    ('{"train": ["TILE"], "val": []}', "validation set required"),
+], ids=["invalid-json", "empty-object", "list", "train-not-list", "name-not-string",
+        "empty-train", "empty-val"])
+def test_malformed_manifest_exits_data_code(pipeline, tmp_path, capsys, manifest, detail):
+    prep = tmp_path / "prep"
+    (prep / "tiles").mkdir(parents=True)
+    tiles = os.path.join(pipeline["root"], "prep", "tiles")
+    tile = sorted(os.listdir(tiles))[0]
+    (prep / "tiles" / tile).write_bytes(Path(tiles, tile).read_bytes())
+    (prep / "manifest.json").write_text(manifest.replace("TILE", tile[:-len(".mcr")]))
+    cfg = RunConfig.desk(tile_size=32, max_iterations=1, data_dir=str(prep))
+    cfg_path = str(tmp_path / "run.cfg")
+    cfg.save(cfg_path)
+    code = run(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error code=3 kind=DataError" in err and detail in err
