@@ -118,26 +118,101 @@ def _column_blocks(rows_by_depth, length):
     return [(c0, min(length, c0 + step)) for c0 in range(0, length, step)]
 
 
+class _Pack:
+    """Consecutive ``conv2d`` inputs at one resolution, zero-padded side by
+    side in one flat buffer ``xp``, with the weight rows that read them."""
+
+    def __init__(self, scale, inputs, c0, weights, dilation):
+        self.scale, self.inputs = scale, inputs
+        n, _, self.h, self.w = inputs[0].data.shape
+        self.ci = sum(t.data.shape[1] for t in inputs)
+        co, _, kh, kw = weights.data.shape
+        d = dilation // scale
+        self.ph, self.pw = (kh - 1) * d // 2, (kw - 1) * d // 2
+        self.hp, self.wp = self.h + 2 * self.ph + 1, self.w + 2 * self.pw
+        self.length = (n - 1) * self.hp * self.wp + self.h * self.wp
+        self.taps = [(i, j, i * d * self.wp + j * d) for i in range(kh) for j in range(kw)]
+        self.blocks = _column_blocks(co * self.ci, self.length)
+        # (kh,kw,Co,Ci) for this pack's channels
+        self.wtap = np.ascontiguousarray(weights.data[:, c0 : c0 + self.ci].transpose(2, 3, 0, 1))
+        self.xp = np.zeros((self.ci, n * self.hp * self.wp), dtype=inputs[0].data.dtype)
+        rows = 0
+        for t in inputs:
+            c = t.data.shape[1]
+            self.padded(self.xp)[rows : rows + c] = t.data.transpose(1, 0, 2, 3)
+            rows += c
+
+    def padded(self, flat):
+        """The (rows, N, H, W) interior of a flat (rows, N*Hp*Wp) buffer."""
+        return flat.reshape(len(flat), -1, self.hp, self.wp)[
+            :, :, self.ph : self.ph + self.h, self.pw : self.pw + self.w]
+
+    def forward(self):
+        """The pack's tap sums, an (N, Co, H, W) view of its accumulator."""
+        co = self.wtap.shape[2]
+        acc, tmp = np.empty((2, co, self.xp.shape[1]), dtype=self.xp.dtype)
+        for c0, c1 in self.blocks:
+            a, t = acc[:, c0:c1], tmp[:, c0:c1]
+            np.matmul(self.wtap[0, 0], self.xp[:, c0:c1], out=a)
+            for i, j, off in self.taps[1:]:
+                a += np.matmul(self.wtap[i, j], self.xp[:, off + c0 : off + c1], out=t)
+        return acc.reshape(co, -1, self.hp, self.wp)[:, :, : self.h, : self.w].transpose(1, 0, 2, 3)
+
+    def backward(self, g, need_gw):
+        """(input gradients, (kh,kw,Co,Ci) weight gradient) for the
+        gradient ``g`` at this pack's resolution."""
+        co, n = g.shape[1], g.shape[0]
+        gf = np.zeros((co, n * self.hp * self.wp), dtype=g.dtype)
+        gf.reshape(co, n, self.hp, self.wp)[:, :, : self.h, : self.w] = g.transpose(1, 0, 2, 3)
+        gw = np.zeros_like(self.wtap) if need_gw else None
+        # input gradients only for the channel rows of inputs that take one
+        sizes = [t.data.shape[1] for t in self.inputs]
+        live = np.repeat([t.requires_grad for t in self.inputs], sizes)
+        wsel = self.wtap if live.all() else self.wtap[..., live]
+        gx = np.zeros((wsel.shape[3], gf.shape[1]), dtype=g.dtype) if live.any() else None
+        tmp = np.empty((wsel.shape[3], self.length), dtype=g.dtype)
+        for (i, j, off), (c0, c1) in itertools.product(self.taps, self.blocks):
+            if gw is not None:
+                gw[i, j] += gf[:, c0:c1] @ self.xp[:, off + c0 : off + c1].T
+            if gx is not None:
+                gx[:, off + c0 : off + c1] += np.matmul(wsel[i, j].T, gf[:, c0:c1], out=tmp[:, c0:c1])
+        gxs, rows = [], 0
+        for t, c in zip(self.inputs, sizes):
+            gxs.append(self.padded(gx[rows : rows + c]).transpose(1, 0, 2, 3) if t.requires_grad else None)
+            rows += c if t.requires_grad else 0
+        return gxs, gw
+
+
 def conv2d(x, weights, bias, dilation=1, padding="same"):
     """Stride-1 2-D convolution (cross-correlation) with dilation and
     ``same`` zero padding, the only padding it accepts.
 
-    x: (N,Ci,H,W); weights: (Co,Ci,kh,kw); bias: (Co,); output (N,Co,H,W).
+    x: a (N,Ci,H,W) tensor, or a list of tensors read as their channel
+    concatenation in weight order; weights: (Co,Ci,kh,kw); bias: (Co,);
+    output (N,Co,H,W), H x W the largest input extent.  An input of extent
+    (H/2, W/2) is read through 2x nearest upsampling: for an even dilation d,
+    conv(up2(f), d) == up2(conv(f, d // 2)), so it is convolved at its own
+    resolution and its tap sums are repeated into the output.
 
-    The N zero-padded images (plus a spare zero row each) sit side by side
-    in one flat (Ci, N*Hp*Wp) buffer; output pixel (b, y, x) is column
-    b*Hp*Wp + y*Wp + x, so tap (i, j) is one batch-wide GEMM on the view
-    ``xp[:, off:off+L]``, off = i*d*Wp + j*d, L = (N-1)*Hp*Wp + H*Wp
-    (MEC-style shifted matrices, no im2col copy).  The spare row keeps every
-    kept output inside its own image's block; the other columns are sliced
-    off, and the backward reuses the views with them zero in the gradient.
-    A small conv runs each tap's GEMMs over column blocks (``_column_blocks``).
-    Gradients of tensors that do not require one are returned as None.
+    Consecutive inputs at one resolution form a pack (``_Pack``).  A pack's
+    N zero-padded images (plus a spare zero row each) sit side by side in
+    one flat (Ci, N*Hp*Wp) buffer; output pixel (b, y, x) is column
+    b*Hp*Wp + y*Wp + x, so tap (i, j) is one batch-wide GEMM over all the
+    pack's channels on the view ``xp[:, off:off+L]``, off = i*d*Wp + j*d,
+    L = (N-1)*Hp*Wp + H*Wp (MEC-style shifted matrices, no im2col copy).
+    The spare row keeps every kept output inside its own image's block; the
+    other columns are sliced off, and the backward reuses the views with
+    them zero in the gradient.  A small conv runs each tap's GEMMs over
+    column blocks (``_column_blocks``).  Gradients of tensors that do not
+    require one are returned as None; input gradients are computed only for
+    the channel rows of the inputs that require one.
     """
-    n, ci, h, w = x.data.shape
-    co, ciw, kh, kw = weights.data.shape
-    if ci != ciw:
-        raise ConfigurationError(f"input channels {ci} != weight channels {ciw}")
+    xs = [x] if isinstance(x, Tensor) else list(x)
+    if not xs:
+        raise ConfigurationError("conv2d of zero inputs")
+    co, ci, kh, kw = weights.data.shape
+    n = xs[0].data.shape[0]
+    h, w = max(t.data.shape[2] for t in xs), max(t.data.shape[3] for t in xs)
     if bias.data.shape != (co,):
         raise ConfigurationError(f"bias shape {bias.data.shape} != ({co},)")
     if dilation < 1:
@@ -146,43 +221,48 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
         raise ConfigurationError(f"unknown padding {padding!r}")
     if (kh - 1) * dilation % 2 or (kw - 1) * dilation % 2:
         raise ConfigurationError("same padding needs odd effective kernel extent")
-    ph, pw = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
-    hp, wp = h + 2 * ph + 1, w + 2 * pw
-    length = (n - 1) * hp * wp + h * wp
-    taps = [(i, j, i * dilation * wp + j * dilation) for i in range(kh) for j in range(kw)]
+    groups, cin = [], 0  # [scale, inputs, first weight channel]
+    for t in xs:
+        tn, tc, th, tw = t.data.shape
+        scale = 1 if (tn, th, tw) == (n, h, w) else 2
+        if (tn, scale * th, scale * tw) != (n, h, w):
+            raise ConfigurationError(f"conv input extent {(tn, th, tw)} is neither {(n, h, w)} nor half")
+        if scale == 2 and dilation % 2:
+            raise ConfigurationError(f"a half-resolution input needs an even dilation, got {dilation}")
+        if groups and groups[-1][0] == scale:
+            groups[-1][1].append(t)
+        else:
+            groups.append([scale, [t], cin])
+        cin += tc
+    if cin != ci:
+        raise ConfigurationError(f"input channels {cin} != weight channels {ci}")
+    packs = [_Pack(scale, inputs, c0, weights, dilation) for scale, inputs, c0 in groups]
 
-    xp = np.zeros((ci, n * hp * wp), dtype=x.data.dtype)
-    xp.reshape(ci, n, hp, wp)[:, :, ph : ph + h, pw : pw + w] = x.data.transpose(1, 0, 2, 3)
-    wtap = np.ascontiguousarray(weights.data.transpose(2, 3, 0, 1))  # (kh,kw,Co,Ci)
-    acc, tmp = np.empty((2, co, n * hp * wp), dtype=x.data.dtype)
-    blocks = _column_blocks(co * ci, length)
-    for c0, c1 in blocks:
-        a, t = acc[:, c0:c1], tmp[:, c0:c1]
-        np.matmul(wtap[0, 0], xp[:, c0:c1], out=a)
-        for i, j, off in taps[1:]:
-            a += np.matmul(wtap[i, j], xp[:, off + c0 : off + c1], out=t)
-    out = np.empty((n, co, h, w), dtype=x.data.dtype)
-    np.add(acc.reshape(co, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3),
-           bias.data.reshape(co, 1, 1), out=out)
+    # the first full-resolution pack plus the bias, then every other pack
+    base = next(p for p in packs if p.scale == 1)
+    out = np.empty((n, co, h, w), dtype=xs[0].data.dtype)
+    np.add(base.forward(), bias.data.reshape(co, 1, 1), out=out)
+    for p in packs:
+        if p is base:
+            continue
+        if p.scale == 1:
+            out += p.forward()
+        else:
+            blocks = out.reshape(n, co, h // 2, 2, w // 2, 2)
+            blocks += p.forward()[:, :, :, None, :, None]
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3)).astype(bias.data.dtype) if bias.requires_grad else None
-        gw = np.zeros_like(wtap) if weights.requires_grad else None
-        gx = np.zeros_like(xp) if x.requires_grad else None
-        gf = np.zeros((co, n * hp * wp), dtype=g.dtype)
-        gf.reshape(co, n, hp, wp)[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
-        tmp = np.empty((ci, length), dtype=x.data.dtype)
-        for (i, j, off), (c0, c1) in itertools.product(taps, blocks):
-            if gw is not None:
-                gw[i, j] += gf[:, c0:c1] @ xp[:, off + c0 : off + c1].T
-            if gx is not None:
-                gx[:, off + c0 : off + c1] += np.matmul(wtap[i, j].T, gf[:, c0:c1], out=tmp[:, c0:c1])
-        gw = None if gw is None else gw.transpose(2, 3, 0, 1)
-        if gx is not None:
-            gx = gx.reshape(ci, n, hp, wp)[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
-        return gx, gw, gb
+        gxs, gws = [], []
+        for p in packs:
+            gp = g if p.scale == 1 else g.reshape(n, co, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+            gx, gw = p.backward(gp, weights.requires_grad)
+            gxs += gx
+            gws.append(gw)
+        gw = np.concatenate(gws, axis=3).transpose(2, 3, 0, 1) if weights.requires_grad else None
+        return (*gxs, gw, gb)
 
-    return _node(out, (x, weights, bias), bwd)
+    return _node(out, (*xs, weights, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +294,39 @@ def avg_pool(x, k, stride=1, padding="same"):
     the one geometry it accepts.  The divisor is the count of in-bounds
     taps, so a constant input stays constant at the borders.
 
-    The window sum is separable (1-D box sums along H, then W), and the
-    divisor is that box sum of the padded ones mask.  A centered box is its
-    own adjoint, so the backward box-sums the zero-padded ``g / counts``.
+    The window sum is separable (1-D box sums along H, then W) over one
+    zero-filled buffer, and the divisor is the outer product of the 1-D
+    in-bounds counts, small exact integers.  A centered box is its own
+    adjoint, so the backward box-sums the zero-padded ``g / counts``.
     """
     if k < 1 or k % 2 == 0 or stride != 1 or padding != "same":
         raise ConfigurationError(
             f"avg_pool takes an odd k, stride 1 and same padding, got {k}, {stride}, {padding!r}")
     h, w = x.data.shape[2:]
     r = k // 2
-    pads = ((0, 0), (0, 0), (r, r), (r, r))
 
     def box(a):
-        rows = a[..., 0:h, :].copy()
+        """k x k window sums of ``a``, zero outside it."""
+        padded = np.zeros(a.shape[:-2] + (h + 2 * r, w + 2 * r), dtype=a.dtype)
+        padded[..., r : r + h, r : r + w] = a
+        rows = padded[..., 0:h, :].copy()
         for i in range(1, k):
-            rows += a[..., i : i + h, :]
+            rows += padded[..., i : i + h, :]
         total = rows[..., 0:w].copy()
         for j in range(1, k):
             total += rows[..., j : j + w]
         return total
 
-    counts = box(np.pad(np.ones((h, w), dtype=x.data.dtype), r))
-    out = box(np.pad(x.data, pads))
+    def in_bounds(extent):
+        i = np.arange(extent)
+        return np.minimum(i + r, extent - 1) - np.maximum(i - r, 0) + 1
+
+    counts = np.outer(in_bounds(h), in_bounds(w)).astype(x.data.dtype)
+    out = box(x.data)
     out /= counts
 
     def bwd(g):
-        return (box(np.pad(g / counts, pads)),)
+        return (box(g / counts),)
 
     return _node(out, (x,), bwd)
 
@@ -311,6 +398,11 @@ def tsum(x):
         return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
 
     return _node(out, (x,), bwd)
+
+
+def identity(x):
+    """Forward identity as its own tape node, sharing ``x``'s array."""
+    return _node(x.data, (x,), lambda g: (g,))
 
 
 def stop_gradient(x):

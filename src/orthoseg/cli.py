@@ -230,6 +230,11 @@ def _gradcheck_cases():
     x9, w9, b9, l9 = t64((2, 2, 4, 5)), t64((2, 2, 3, 3), 0.5), t64((2,)), wloss((2, 2, 4, 5))
     cases.append(("conv2d_batch2_dilation3", lambda ts: l9(
         ad.conv2d(ts[0], ts[1], ts[2], dilation=3, padding="same")), [x9, w9, b9]))
+    # a half-resolution input read through 2x upsampling, then a full one
+    h10, f10, w10 = t64((2, 2, 3, 4)), t64((2, 1, 6, 8)), t64((2, 3, 3, 3), 0.5)
+    b10, l10 = t64((2,)), wloss((2, 2, 6, 8))
+    cases.append(("conv2d_groups_halfres", lambda ts: l10(
+        ad.conv2d(ts[:2], ts[2], ts[3], dilation=2, padding="same")), [h10, f10, w10, b10]))
     return cases
 
 

@@ -106,16 +106,18 @@ def stitch_predict(predict_crop, planes, plan):
     return acc
 
 
-def model_crop_predictor(model):
+def model_crop_predictor(model, keep=None):
     """Crop planes -> class probabilities at crop resolution.
 
     Normalizes and 2x downsamples the crop the same way training samples are
     prepared, runs the network, and duplicates the half-resolution
-    probabilities back up to crop resolution.
+    probabilities back up to crop resolution.  ``keep`` is the kept region
+    at net resolution (see ``Model.forward``): only a window around it is
+    computed, and the probabilities outside that window are NaN.
     """
     def predict(crop_planes):
         primary, auxiliary = data.network_inputs(crop_planes)
-        probs = model.forward(primary[None], auxiliary[None], training=False)
+        probs = model.forward(primary[None], auxiliary[None], training=False, keep=keep)
         return ad.upsample2(probs).data[0]
     return predict
 
@@ -128,7 +130,9 @@ def infer_full_raster(model, raster, tile, stride, center):
     """
     plan = plan_stitch(raster.height, raster.width, tile, stride, center)
     planes = {r: p for r, p in raster.channels.items() if r in data.INPUT_ROLES}
-    probs = stitch_predict(model_crop_predictor(model), planes, plan)
+    # the crop's kept center, at net (half) resolution
+    center = (plan.margin // 2, -(-(plan.margin + plan.center) // 2))
+    probs = stitch_predict(model_crop_predictor(model, keep=(center, center)), planes, plan)
     labels = probs.argmax(axis=0).astype(np.int64)
     return probs, labels
 

@@ -6,7 +6,11 @@ a final per-pixel softmax.
 Gradient-flow rules realized here:
   * each decoder block's upsampled feature input is stop-gradient gated,
     except the first block (its input comes from the encoders, which must
-    keep receiving learning signal through skip connections);
+    keep receiving learning signal through skip connections).  The block's
+    first conv reads those features through 2x nearest upsampling at their
+    own, half resolution (``autodiff.conv2d``), so the tap
+    ``decoder.block{j}.features_up`` records, and is perturbed at, the
+    half-resolution tensor;
   * the class-decision residual chain is never gated, so every block's 1x1
     decision conv trains end to end;
   * the SCCB reads gated copies of its inputs and contributes only through
@@ -186,6 +190,26 @@ def param_layout(cfg):
     return layout
 
 
+def tail_margin(cfg):
+    """Net pixels of context that the full-resolution tail (the last
+    decoder block, the additional residual blocks and the SCCB) reads on
+    each side of an output pixel: ``dilation`` px per 3x3 conv, half the
+    SCCB pool and the widest SCCB branch."""
+    convs = 2 + 2 * cfg.num_additional_residual_blocks
+    widest = max((rate for rate, _ in cfg.sccb_dilations), default=0)
+    return cfg.decoder_dilation * convs + cfg.sccb_pool_size // 2 + widest
+
+
+def _window(keep, margin, h, w):
+    """The ((y0, y1), (x0, x1)) net-resolution window that the tail
+    computes for the kept rows and columns ``keep``: widened by ``margin``,
+    rounded outward to even and clipped to the h x w input."""
+    if len(keep) != 2 or not all(0 <= a < b <= extent for (a, b), extent in zip(keep, (h, w))):
+        raise ConfigurationError(f"keep {keep} is not a region of the {h}x{w} input")
+    return tuple((max(0, (a - margin) // 2 * 2), min(extent, -(-(b + margin) // 2) * 2))
+                 for (a, b), extent in zip(keep, (h, w)))
+
+
 def _input_feeds(x, levels):
     """The decoder's raw-input feeds from ``x``, the concatenated input
     array: ``feeds[k]`` is the 1/2^k level of its 2x2-mean pyramid followed
@@ -241,18 +265,24 @@ class Model:
     # -- forward ----------------------------------------------------------
 
     def forward(self, primary, auxiliary, training=False, rng=None, noiserates=None,
-                taps=None, perturb=None, record_graph=None):
+                taps=None, perturb=None, record_graph=None, keep=None):
         """Run the network; returns per-pixel class probabilities.
 
         ``taps``: optional dict filled with named intermediate tensors for
         instrumentation.  ``perturb``: optional dict tap-name -> array added
-        at that point (forward-sensitivity probes).
+        at that point (forward-sensitivity probes).  ``keep``: optional
+        ((row0, row1), (col0, col1)) output region at net resolution; the
+        full-resolution tail then runs only on a window around it (see
+        ``tail_margin``), and pixels outside that window are NaN.  Pixels in
+        ``keep`` equal those of the full forward up to float rounding.
         """
         record = training if record_graph is None else record_graph
+        if keep is not None and (training or record):
+            raise ConfigurationError("keep is for inference without a recorded graph")
         with contextlib.nullcontext() if record else ad.no_grad():
-            return self._forward(primary, auxiliary, training, rng, noiserates, taps, perturb)
+            return self._forward(primary, auxiliary, training, rng, noiserates, taps, perturb, keep)
 
-    def _forward(self, primary, auxiliary, training, rng, rates, taps, perturb):
+    def _forward(self, primary, auxiliary, training, rng, rates, taps, perturb, keep):
         cfg = self.config
         if rates is None:
             rates = NoiseRates.default()
@@ -289,10 +319,11 @@ class Model:
                 taps[name] = tensor
             return tensor
 
-        def refine(prefix, cat, region, decis):
-            """Dilated conv over ``cat``, ``region`` noise, dilated conv, then a 1x1
-            decision correction added to ``decis``; returns (features, decisions)."""
-            h1 = ad.elu(conv(ad.concat_channels(cat), f"{prefix}.conv1", cfg.decoder_dilation))
+        def refine(prefix, inputs, region, decis):
+            """Dilated conv over the channels of ``inputs``, ``region`` noise,
+            dilated conv, then a 1x1 decision correction added to ``decis``;
+            returns (features, decisions)."""
+            h1 = ad.elu(conv(inputs, f"{prefix}.conv1", cfg.decoder_dilation))
             h1 = noise(h1, region)
             feats = tap(f"{prefix}.features_out",
                         ad.elu(conv(h1, f"{prefix}.conv2", cfg.decoder_dilation)))
@@ -300,6 +331,9 @@ class Model:
             return feats, tap(f"{prefix}.decisions_out", ad.add(decis, corr))
 
         feeds = _input_feeds(np.concatenate([primary.data, auxiliary.data], axis=1), e)
+        win = None if keep is None else _window(keep, tail_margin(cfg), h, w)
+        if win == ((0, h), (0, w)):
+            win = None
 
         def encode(side, x):
             skips = []
@@ -323,9 +357,17 @@ class Model:
         decis = Tensor(np.zeros((n, cfg.num_classes, hb, wb), dtype=primary.data.dtype))
 
         for j in range(1, e + 1):
+            if j == e and win is not None:
+                # from here on only the window is computed
+                (y0, y1), (x0, x1) = win
+                feats, decis = (Tensor(t.data[:, :, y0 // 2 : y1 // 2, x0 // 2 : x1 // 2])
+                                for t in (feats, decis))
+                p_skips[0], a_skips[0], feeds[0] = (Tensor(t.data[:, :, y0:y1, x0:x1])
+                                                    for t in (p_skips[0], a_skips[0], feeds[0]))
             feats = tap(f"decoder.block{j}.features_in", feats)
             decis = tap(f"decoder.block{j}.decisions_in", decis)
-            f_up = tap(f"decoder.block{j}.features_up", ad.upsample2(feats))
+            # conv1 reads the features through 2x upsampling (autodiff.conv2d)
+            f_up = tap(f"decoder.block{j}.features_up", ad.identity(feats))
             if j > 1:
                 f_up = ad.stop_gradient(f_up)
             d_up = ad.upsample2(decis)
@@ -359,4 +401,9 @@ class Model:
         corr = conv(h1, "sccb.conv2")
         logits = tap("sccb.logits", ad.add(decis, corr))
 
-        return ad.softmax_channels(logits)
+        probs = ad.softmax_channels(logits)
+        if win is None:
+            return probs
+        out = np.full((n, cfg.num_classes, h, w), np.nan, dtype=probs.data.dtype)
+        out[:, :, y0:y1, x0:x1] = probs.data
+        return Tensor(out)

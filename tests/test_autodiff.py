@@ -155,6 +155,84 @@ class TestConv2d:
                       padding="valid")
 
 
+def up2(a):
+    return a.repeat(2, axis=2).repeat(2, axis=3)
+
+
+def check_conv_groups_against_oracle(rng, spec, n, k, dil):
+    """conv2d over a list of inputs, each (channels, half resolution,
+    requires_grad) in ``spec``, against conv_oracle over
+    concat(up2(half), full, ...), float64; inputs without requires_grad
+    must get exactly None."""
+    parts = [rng.normal(size=(n, c, 2, 3) if half else (n, c, 4, 6)) for c, half, _ in spec]
+    w, b = rng.normal(size=(2, sum(c for c, _, _ in spec), k, k)), rng.normal(size=2)
+
+    def dense(vs):
+        return np.concatenate([up2(v) if v.shape[2] == 2 else v for v in vs], axis=1)
+
+    ts = [t64(v, rg=grad) for v, (_, _, grad) in zip(parts, spec)]
+    wt, bt = t64(w, rg=True), t64(b, rg=True)
+    out = ad.conv2d(ts, wt, bt, dilation=dil)
+    expected = conv_oracle(dense(parts), w, b, dil)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+
+    g = rng.normal(size=expected.shape)
+    ad.backward(ad.tsum(ad.mul(out, t64(g))))
+    zb = np.zeros(2)
+    for i, (t, (_, _, grad)) in enumerate(zip(ts, spec)):
+        if not grad:
+            assert t.grad is None
+            continue
+
+        def f(v, i=i):  # linear in v: the other inputs are zero
+            return conv_oracle(dense([v if k == i else 0 * u for k, u in enumerate(parts)]), w, zb, dil)
+        np.testing.assert_allclose(t.grad, linear_grad(f, parts[i].shape, g), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        wt.grad, linear_grad(lambda v: conv_oracle(dense(parts), v, zb, dil), w.shape, g),
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+
+
+class TestConv2dGroups:
+    # (channels, half resolution, requires_grad) per input
+    LAYOUTS = {
+        "half_first": [(2, True, True), (1, False, True), (1, False, False)],
+        "full_first": [(1, False, False), (2, True, True), (1, False, True), (1, True, False)],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n, k, dil", [(1, 3, 2), (3, 3, 2), (1, 3, 4), (3, 3, 4), (3, 1, 2)])
+    def test_matches_loop_oracle_over_upsampled_concat(self, layout, n, k, dil):
+        rng = np.random.default_rng([n, k, dil, len(layout)])
+        check_conv_groups_against_oracle(rng, self.LAYOUTS[layout], n, k, dil)
+
+    def test_column_blocks_match_loop_oracle(self, monkeypatch):
+        # 5-column GEMMs for the 2x4-channel pack, so taps span several blocks
+        monkeypatch.setattr(ad, "_BLAS_SERIAL_MACS", 2 * 4 * 5 + 1)
+        rng = np.random.default_rng(6)
+        for dil in (2, 4):
+            check_conv_groups_against_oracle(rng, [(2, True, True), (4, False, True)], 2, 3, dil)
+
+    def test_inputs_without_grad_get_none(self):
+        rng = np.random.default_rng(5)
+        half, full = t64(rng.normal(size=(1, 2, 2, 3))), t64(rng.normal(size=(1, 1, 4, 6)), rg=True)
+        out = ad.conv2d([half, full], t64(rng.normal(size=(2, 3, 3, 3))), t64(np.zeros(2)), dilation=2)
+        ghalf, gfull, gw, gb = out._backward(np.ones_like(out.data))
+        assert ghalf is None and gw is None and gb is None
+        assert gfull.shape == full.data.shape
+
+    @pytest.mark.parametrize("dil", [1, 3])
+    def test_odd_dilation_with_half_resolution_rejected(self, dil):
+        half, full = t64(np.ones((1, 1, 2, 3))), t64(np.ones((1, 1, 4, 6)))
+        with pytest.raises(ConfigurationError, match="even dilation"):
+            ad.conv2d([half, full], t64(np.ones((1, 2, 3, 3))), t64(np.zeros(1)), dilation=dil)
+
+    def test_other_extents_rejected(self):
+        odd, full = t64(np.ones((1, 1, 3, 3))), t64(np.ones((1, 1, 4, 6)))
+        with pytest.raises(ConfigurationError, match="neither"):
+            ad.conv2d([odd, full], t64(np.ones((1, 2, 3, 3))), t64(np.zeros(1)), dilation=2)
+
+
 class TestMaxPool2:
     def test_single_window(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])

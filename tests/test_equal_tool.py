@@ -1,0 +1,37 @@
+"""Smoke test of tools/equal.py: its probes run on this tree alone."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "equal.py"
+
+
+@pytest.fixture(scope="module")
+def equal():
+    spec = importlib.util.spec_from_file_location("equal_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probes_run_and_compare_equal_to_themselves(equal, tmp_path):
+    out = equal.run_probes(str(tmp_path))
+    assert {"desk_forward_32", "desk_grads", "desk_stitch_150", "train30_params",
+            "train30_losses", "train30_checkpoint_bytes", "paper_forward_128",
+            "paper_windowed_256"} <= out.keys()
+    for name, a in out.items():
+        assert a.size and np.isfinite(a).all(), name
+        assert equal.compare(a, a.copy()) == "equal", name
+
+
+def test_compare_reports_differences(equal):
+    a = np.array([1.0, 2.0, np.nan, 4.0], dtype=np.float32)
+    b = a.copy()
+    b[1] = 2.5
+    assert equal.compare(a, b) == "max abs 0.5, max rel 0.2, 1 of 4 differ"
+    assert equal.compare(a, a[:3]) == "shapes differ: (4,) vs (3,)"
+    raw = np.zeros(8, dtype=np.uint8)
+    assert equal.compare(raw, raw + np.arange(8, dtype=np.uint8) % 2) == "4 of 8 bytes differ"

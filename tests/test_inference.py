@@ -137,6 +137,30 @@ def test_one_crop_raster_equals_direct_inference():
     assert np.array_equal(probs, direct[:, m:m + 32, m:m + 32].astype(np.float64))
 
 
+def test_windowed_crop_predictor_matches_full_forward_on_kept_center():
+    model = Model.build(RunConfig.desk().network_config(), seed=0)
+    planes = {r: p for r, p in make_raster(256, seed=3).channels.items() if r in data.INPUT_ROLES}
+    full = inference.model_crop_predictor(model)(planes)
+    windowed = inference.model_crop_predictor(model, keep=((32, 96), (32, 96)))(planes)
+    assert windowed.shape == full.shape == (6, 256, 256)
+    # float32 sums over a narrower conv buffer round differently
+    np.testing.assert_allclose(windowed[:, 64:192, 64:192], full[:, 64:192, 64:192],
+                               rtol=1e-5, atol=1e-6)
+    # computed on the net-resolution window (10, 118), NaN outside it
+    assert np.isnan(windowed[:, :20]).all() and np.isnan(windowed[:, 236:]).all()
+    assert not np.isnan(windowed[:, 20:236, 20:236]).any()
+
+
+def test_full_raster_inference_keeps_only_computed_pixels():
+    model = Model.build(RunConfig.desk().network_config(), seed=0)
+    raster = make_raster(150, seed=4)
+    plan = plan_stitch(150, 150, tile=256, stride=64, center=128)
+    planes = {r: p for r, p in raster.channels.items() if r in data.INPUT_ROLES}
+    full = stitch_predict(inference.model_crop_predictor(model), planes, plan)
+    probs, _ = infer_full_raster(model, raster, tile=256, stride=64, center=128)
+    np.testing.assert_allclose(probs, full, rtol=1e-5, atol=1e-6)
+
+
 def test_full_raster_inference_shapes_and_ties():
     cfg = RunConfig.desk()
     model = Model.build(cfg.network_config(), seed=1)

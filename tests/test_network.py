@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from orthoseg import autodiff as ad
+from orthoseg import network
 from orthoseg.errors import ConfigurationError, OrthosegError
-from orthoseg.network import Model, NetworkConfig, NoiseRates, _input_feeds, param_layout
+from orthoseg.network import (Model, NetworkConfig, NoiseRates, _input_feeds, param_layout,
+                              tail_margin)
 
 
 def expected_param_count(cfg):
@@ -251,6 +255,55 @@ class TestForward:
         m.forward(p, a, taps=taps)
         up = np.repeat(np.repeat(taps["decoder.block2.decisions_in"].data, 2, axis=2), 2, axis=3)
         np.testing.assert_array_equal(taps["decoder.block2.decisions_out"].data, up)
+
+
+class TestWindow:
+    KEEP = ((32, 96), (40, 100))  # the tail's window (10, 118) x (18, 122) misses the border
+
+    def _float64_forwards(self):
+        m = Model.build(NetworkConfig.desk(), 0)
+        for t in m.params.values():
+            t.data = t.data.astype(np.float64)
+        p, a = np.random.default_rng(40).normal(size=(2, 1, 3, 128, 128))
+        return m.forward(p, a).data, m.forward(p, a, keep=self.KEEP).data
+
+    def _kept(self, probs):
+        (y0, y1), (x0, x1) = self.KEEP
+        return probs[:, :, y0:y1, x0:x1]
+
+    def test_windowed_forward_equals_full_forward_on_keep(self):
+        full, windowed = self._float64_forwards()
+        np.testing.assert_allclose(self._kept(windowed), self._kept(full), rtol=1e-12, atol=0)
+        computed = ~np.isnan(windowed[0, 0])
+        assert computed.sum() == (118 - 10) * (122 - 18) and computed[10:118, 18:122].all()
+
+    def test_margin_is_tight(self, monkeypatch):
+        monkeypatch.setattr(network, "tail_margin", lambda cfg: 20)
+        full, windowed = self._float64_forwards()
+        assert not np.allclose(self._kept(windowed), self._kept(full), rtol=1e-12, atol=0)
+
+    def test_window_covering_the_input_is_the_full_forward(self):
+        m = Model.build(NetworkConfig.desk(), 0)
+        p, a = rand_inputs(41)
+        plain = m.forward(p, a).data
+        assert m.forward(p, a, keep=((8, 24), (8, 24))).data.tobytes() == plain.tobytes()
+
+    def test_tail_margin_follows_the_config(self):
+        assert tail_margin(NetworkConfig.desk()) == 21
+        assert tail_margin(NetworkConfig.benchmark()) == 21
+        cfg = dataclasses.replace(NetworkConfig.desk(), sccb_dilations=((3, 4), (17, 4)),
+                                  num_additional_residual_blocks=2)
+        assert tail_margin(cfg) == 2 * (2 + 2 * 2) + 5 // 2 + 17
+
+    @pytest.mark.parametrize("kwargs", [dict(training=True, rng=np.random.default_rng(0)),
+                                        dict(record_graph=True),
+                                        dict(keep=((0, 40), (0, 8))),
+                                        dict(keep=((8, 8), (0, 8)))])
+    def test_rejected(self, kwargs):
+        m = Model.build(NetworkConfig.desk(), 0)
+        p, a = rand_inputs(42)
+        with pytest.raises(ConfigurationError):
+            m.forward(p, a, **{"keep": ((0, 8), (0, 8)), **kwargs})
 
 
 class TestTapHook:

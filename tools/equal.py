@@ -1,0 +1,153 @@
+"""Compare what two trees of orthoseg compute, probe by probe.
+
+    python3 tools/equal.py REV    # the working tree against git revision REV
+    python3 tools/equal.py        # the working tree's probes alone
+
+REV is checked out in a temporary ``git worktree``.  The same probes (this
+file's ``PROBES``) run in each tree in a separate process that imports the
+package from that tree's ``src/``.  One line is printed per probe: "equal",
+or the largest absolute and relative difference and the count of differing
+elements.  Exits 1 when a probe differs.  Takes about a minute on 2 vCPUs.
+"""
+
+from __future__ import annotations
+
+import inspect
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _inputs(seed, size):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, 1, 3, size, size)).astype(np.float32)
+
+
+def _flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def probe_desk(work):
+    """Desk eval forward, training-mode gradients and stitched inference."""
+    from orthoseg import autodiff as ad
+    from orthoseg import data, inference
+    from orthoseg.config import RunConfig
+    from orthoseg.network import Model
+
+    model = Model.build(RunConfig.desk().network_config(), seed=0)
+    out = {"desk_forward_32": model.forward(*_inputs(1, 32)).data}
+    probs = model.forward(*_inputs(2, 32), training=True, rng=np.random.default_rng(3))
+    labels = np.random.default_rng(4).integers(0, 6, size=(1, 32, 32))
+    ad.backward(ad.cross_entropy_loss(probs, labels))
+    out["desk_grads"] = _flat(t.grad for t in model.params.values())
+    raster = data.synth_dataset(1, 150, seed=5)[0]
+    out["desk_stitch_150"], _ = inference.infer_full_raster(
+        Model.build(RunConfig.desk().network_config(), seed=0), raster, 64, 16, 32)
+    return out
+
+
+def probe_training(work):
+    """Parameters, losses and checkpoint bytes after 30 desk iterations."""
+    from orthoseg import data, trainer
+    from orthoseg.config import RunConfig
+    from orthoseg.network import Model
+
+    cfg = RunConfig.desk(eval_interval=10, checkpoint_interval=30)
+    samples = [data.assemble_inputs(r) for r in data.synth_dataset(6, 64, seed=6)]
+    samples = [(p, a, half) for p, a, _, half in samples]
+    model = Model.build(cfg.network_config(), seed=cfg.seed)
+    run = os.path.join(work, "run")
+    trainer.train_loop(cfg, model, samples[:4], samples[4:], run, max_iterations=30)
+    with open(os.path.join(run, "metrics.csv"), encoding="utf-8") as f:
+        rows = [line.split(",") for line in f.read().splitlines()[1:]]
+    with open(os.path.join(run, "final.ckpt"), "rb") as f:
+        ckpt = np.frombuffer(f.read(), dtype=np.uint8)
+    return {"train30_params": _flat(t.data for t in model.params.values()),
+            "train30_losses": np.array([[float(r[1]), float(r[2])] for r in rows]),
+            "train30_checkpoint_bytes": ckpt}
+
+
+def probe_paper(work):
+    """Paper-width eval forwards: 128², and 256² kept on the centre that a
+    512-px crop keeps (windowed where the tree's ``forward`` takes ``keep``)."""
+    from orthoseg.network import Model, NetworkConfig
+
+    model = Model.build(NetworkConfig.benchmark(), seed=0)
+    out = {"paper_forward_128": model.forward(*_inputs(7, 128)).data}
+    keep = ((64, 192), (64, 192))
+    windowed = "keep" in inspect.signature(model.forward).parameters
+    probs = model.forward(*_inputs(8, 256), **({"keep": keep} if windowed else {})).data
+    out["paper_windowed_256"] = probs[:, :, 64:192, 64:192]
+    return out
+
+
+PROBES = (probe_desk, probe_training, probe_paper)
+
+
+def run_probes(work):
+    """Every probe's arrays, by name."""
+    out = {}
+    for probe in PROBES:
+        out.update(probe(work))
+    return out
+
+
+def compare(a, b):
+    """"equal", or how the arrays ``a`` and ``b`` differ."""
+    if a.shape != b.shape:
+        return f"shapes differ: {a.shape} vs {b.shape}"
+    if a.tobytes() == b.tobytes():
+        return "equal"
+    if a.dtype == np.uint8:
+        return f"{int((a != b).sum())} of {a.size} bytes differ"
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    diff = np.abs(a - b)[differ]
+    scale = np.maximum(np.abs(a), np.abs(b))[differ]
+    rel = np.divide(diff, scale, out=np.full_like(diff, np.inf), where=scale > 0)
+    return f"max abs {diff.max():.3g}, max rel {rel.max():.3g}, {int(differ.sum())} of {a.size} differ"
+
+
+def _run_tree(src, path):
+    """Run the probes in a separate process importing orthoseg from ``src``."""
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--probe-out", path],
+                   env=env, check=True)
+    with np.load(path) as f:
+        return dict(f)
+
+
+def main(argv):
+    if argv[:1] == ["--probe-out"]:
+        with tempfile.TemporaryDirectory() as work:
+            np.savez(argv[1], **run_probes(work))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        ours = _run_tree(os.path.join(ROOT, "src"), os.path.join(tmp, "ours.npz"))
+        if not argv:
+            for name, a in ours.items():
+                print(f"{name}: {a.shape} {a.dtype}, finite {bool(np.isfinite(a).all())}")
+            return 0
+        tree = os.path.join(tmp, "tree")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet", tree, argv[0]],
+                       check=True)
+        try:
+            theirs = _run_tree(os.path.join(tree, "src"), os.path.join(tmp, "theirs.npz"))
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
+    differs = 0
+    for name in sorted(ours.keys() | theirs.keys()):
+        verdict = (compare(theirs[name], ours[name]) if name in ours and name in theirs
+                   else "missing in " + ("the working tree" if name in theirs else argv[0]))
+        print(f"{name}: {verdict}")
+        differs += verdict != "equal"
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
