@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from . import checkpoint, data, inference, trainer
+from . import data, inference, trainer
 from .config import RunConfig
 from .errors import ConfigurationError, DataError, NumericalError, OrthosegError
 from .network import Model
@@ -96,43 +96,15 @@ def cmd_prepare(args):
 # train
 
 
-def _load_samples(prepared_dir, names):
-    tiles_dir = os.path.join(prepared_dir, "tiles")
-    samples = []
-    for name in names:
-        tile = data.read_mcr(os.path.join(tiles_dir, f"{name}.mcr"))
-        primary, auxiliary, _, label_half = data.assemble_inputs(tile)
-        samples.append((primary, auxiliary, label_half))
-    return samples
-
-
-def _load_manifest(prepared_dir):
-    """``prepared_dir``'s manifest: a JSON object whose ``train`` and ``val``
-    are lists of tile names."""
-    path = os.path.join(prepared_dir, "manifest.json")
-    if not os.path.exists(path):
-        raise DataError(f"{prepared_dir}: no manifest.json (run prepare first)")
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"{path}: not JSON: {exc}") from exc
-    if not (isinstance(manifest, dict) and all(
-            isinstance(manifest.get(split), list) and all(isinstance(n, str) for n in manifest[split])
-            for split in ("train", "val"))):
-        raise DataError(f"{path}: needs a JSON object whose train and val are lists of tile names")
-    return manifest
-
-
 def cmd_train(args):
     cfg = RunConfig.load(args.config)
     net_cfg = cfg.network_config()
     prepared = args.data or cfg.data_dir
     if not prepared:
         raise ConfigurationError("no prepared data directory (set data_dir or pass --data)")
-    manifest = _load_manifest(prepared)
-    train_samples = _load_samples(prepared, manifest["train"])
-    val_samples = _load_samples(prepared, manifest["val"])
+    manifest = data.load_manifest(prepared)
+    train_samples = data.load_samples(prepared, manifest["train"])
+    val_samples = data.load_samples(prepared, manifest["val"])
 
     state = None
     model = None
@@ -156,18 +128,9 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    header, tensors = checkpoint.load_checkpoint(args.ckpt)
-    text = header.get("config_text")
-    if not text or not isinstance(text, str):
-        raise DataError(f"{args.ckpt}: header carries no run config text")
-    try:  # the fault is in the checkpoint file, not in a config the user wrote
-        cfg = RunConfig.parse(text)
-        net_cfg = cfg.network_config()
-    except ConfigurationError as exc:
-        raise DataError(f"{args.ckpt}: stored run config: {exc}") from exc
-    state = trainer.state_from_tensors(header, tensors, net_cfg)
+    cfg, model = trainer.model_from_checkpoint(args.ckpt)
     raster = data.read_mcr(args.image)
-    probs, labels = inference.infer_full_raster(state.model, raster, **cfg.stitch_geometry())
+    probs, labels = inference.infer_full_raster(model, raster, **cfg.stitch_geometry())
     data.write_ppm(args.out + "_prediction.ppm", data.colorize(labels.astype(np.uint8)))
     np.save(args.out + "_probabilities.npy", probs.astype(np.float32))
     print(f"wrote {args.out}_prediction.ppm and {args.out}_probabilities.npy")

@@ -2,9 +2,11 @@
 
 Every training hyperparameter has a key whose default is the benchmark
 value; parsing then re-serializing is canonical (sorted keys).  Unknown
-keys are rejected.  These defaults and ``RunConfig.desk()`` are the only
-copy of the presets: ``NetworkConfig.benchmark()``/``desk()`` and
-``NoiseRates.default()`` are derived from them.
+keys are rejected; a retired key (``out_dir``), which older checkpoints
+still hold in their config text, is skipped.  These defaults and
+``RunConfig.desk()`` are the only copy of the presets:
+``NetworkConfig.benchmark()``/``desk()`` and ``NoiseRates.default()`` are
+derived from them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .network import NetworkConfig, NoiseRates
 def _rate_width(part):  # "rate:width" -> (rate, width)
     rate, _, width = part.partition(":")
     return int(rate), int(width)
+
+
+_RETIRED_KEYS = ("out_dir",)
 
 
 @dataclass
@@ -36,7 +41,6 @@ class RunConfig:
 
     # data preparation
     data_dir: str = ""
-    out_dir: str = ""
     tile_size: int = 1024
     overlap: float = 0.66
     val_fraction: float = 0.10
@@ -79,6 +83,8 @@ class RunConfig:
                 raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key in _RETIRED_KEYS:
+                continue
             if key not in types:
                 raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
             if key in values:

@@ -9,6 +9,7 @@ images are binary 8-bit PPM (see read_ppm/write_ppm).
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -364,6 +365,39 @@ def split_train_val(tilesets, fraction, seed):
     if not train_ids:
         raise DataError("overlap removal left an empty training set")
     return train_ids, val_ids, dropped
+
+
+# ---------------------------------------------------------------------------
+# prepared datasets (written by ``orthoseg prepare``)
+
+
+def load_manifest(prepared_dir):
+    """``prepared_dir``'s manifest: a JSON object whose ``train`` and ``val``
+    are lists of tile names."""
+    path = os.path.join(prepared_dir, "manifest.json")
+    if not os.path.exists(path):
+        raise DataError(f"{prepared_dir}: no manifest.json (run prepare first)")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not JSON: {exc}") from exc
+    if not (isinstance(manifest, dict) and all(
+            isinstance(manifest.get(split), list) and all(isinstance(n, str) for n in manifest[split])
+            for split in ("train", "val"))):
+        raise DataError(f"{path}: needs a JSON object whose train and val are lists of tile names")
+    return manifest
+
+
+def load_samples(prepared_dir, names):
+    """(primary, auxiliary, label_half) training triples of the prepared
+    tiles ``names``."""
+    samples = []
+    for name in names:
+        tile = read_mcr(os.path.join(prepared_dir, "tiles", f"{name}.mcr"))
+        primary, auxiliary, _, label_half = assemble_inputs(tile)
+        samples.append((primary, auxiliary, label_half))
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,9 @@ def infer_full_raster(model, raster, tile, stride, center):
     Labels are the per-pixel argmax; probability ties break to the lowest
     class index.
     """
+    if not raster.height or not raster.width:  # mirror padding needs a pixel to mirror
+        raise DataError(f"raster {raster.raster_id!r} has zero extent "
+                        f"{raster.height}x{raster.width}")
     plan = plan_stitch(raster.height, raster.width, tile, stride, center)
     planes = {r: p for r, p in raster.channels.items() if r in data.INPUT_ROLES}
     # the crop's kept center, at net (half) resolution

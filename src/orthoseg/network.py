@@ -396,8 +396,7 @@ class Model:
         for rate, _nf in cfg.sccb_dilations:
             br = ad.elu(conv(pooled, f"sccb.branch_d{rate}", dilation=rate))
             branches.append(noise(br, "sccb"))
-        cat = ad.concat_channels(branches + [d_gated])
-        h1 = ad.elu(conv(cat, "sccb.conv1"))
+        h1 = ad.elu(conv(branches + [d_gated], "sccb.conv1"))
         corr = conv(h1, "sccb.conv2")
         logits = tap("sccb.logits", ad.add(decis, corr))
 

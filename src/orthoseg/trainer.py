@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
+from .config import RunConfig
 from .errors import ConfigurationError, DataError, NumericalError, OrthosegError
 from .network import Model, NoiseRates
 
@@ -176,6 +177,29 @@ def state_to_checkpoint(path, state, config_digest, config_text=""):
     ckpt.save_checkpoint(path, header, tensors)
 
 
+def _model_from_tensors(tensors, network_config):
+    """The Model over a loaded checkpoint's ``param:`` tensors."""
+    return Model.from_arrays(network_config, {
+        key[len("param:"):]: arr for key, arr in tensors.items() if key.startswith("param:")})
+
+
+def model_from_checkpoint(path):
+    """(RunConfig, Model) stored in the checkpoint at ``path``, for
+    inference: one load, of which only the run config text and the
+    parameters are used. A missing or malformed config text, or a missing or
+    misshaped parameter, raises ``DataError``."""
+    header, tensors = ckpt.load_checkpoint(path)
+    text = header.get("config_text")
+    if not text or not isinstance(text, str):
+        raise DataError(f"{path}: header carries no run config text")
+    try:  # the fault is in the checkpoint file, not in a config the user wrote
+        cfg = RunConfig.parse(text)
+        net_cfg = cfg.network_config()
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: stored run config: {exc}") from exc
+    return cfg, _model_from_tensors(tensors, net_cfg)
+
+
 def state_from_checkpoint(path, network_config, expected_digest=None, override=False):
     header, tensors = ckpt.load_checkpoint(path)
     if expected_digest is not None:
@@ -200,8 +224,7 @@ def state_from_tensors(header, tensors, network_config):
 
     if header.get("phase") not in (PHASE_INITIAL, PHASE_FINE_TUNING):
         raise DataError("checkpoint header: missing or malformed 'phase'")
-    model = Model.from_arrays(network_config, {
-        key[len("param:"):]: arr for key, arr in tensors.items() if key.startswith("param:")})
+    model = _model_from_tensors(tensors, network_config)
     frozen = value("frozen", list, set)
     for name, t in model.params.items():
         t.requires_grad = name not in frozen

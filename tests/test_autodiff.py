@@ -5,6 +5,7 @@ import pytest
 
 from orthoseg import autodiff as ad
 from orthoseg import network
+from orthoseg.cli import _gradcheck_cases
 from orthoseg.errors import ConfigurationError, OrthosegError
 
 
@@ -503,59 +504,12 @@ class TestBackwardBasics:
         assert c.grad is None
 
 
-def weighted_sum_loss(seed, shape):
-    w = np.random.default_rng(seed).normal(size=shape)
-
-    def loss(out):
-        return ad.tsum(ad.mul(out, ad.Tensor(w.astype(out.data.dtype))))
-
-    return loss
-
-
 class TestFiniteDiff:
-    def _check(self, fn, inputs, tol=1e-6):
-        rep = ad.finite_diff_check(fn, inputs, eps=1e-6, tolerance=tol)
+    @pytest.mark.parametrize("case", _gradcheck_cases(), ids=lambda case: case[0])
+    def test_gradcheck_case(self, case):
+        _, fn, inputs = case
+        rep = ad.finite_diff_check(fn, inputs, eps=1e-6, tolerance=1e-6)
         assert rep.passed, rep.max_rel_errors
-
-    def test_conv2d_dilated(self):
-        rng = np.random.default_rng(20)
-        x = t64(rng.normal(size=(1, 2, 8, 8)))
-        w = t64(rng.normal(size=(2, 2, 3, 3)) * 0.5)
-        b = t64(rng.normal(size=2))
-        loss = weighted_sum_loss(21, (1, 2, 8, 8))
-        self._check(lambda ts: loss(ad.conv2d(ts[0], ts[1], ts[2], dilation=2, padding="same")), [x, w, b])
-
-    def test_max_pool2(self):
-        x = t64(np.random.default_rng(22).normal(size=(1, 2, 4, 4)))
-        loss = weighted_sum_loss(23, (1, 2, 2, 2))
-        self._check(lambda ts: loss(ad.max_pool2(ts[0])), [x])
-
-    def test_avg_pool_same(self):
-        x = t64(np.random.default_rng(24).normal(size=(1, 1, 6, 6)))
-        loss = weighted_sum_loss(25, (1, 1, 6, 6))
-        self._check(lambda ts: loss(ad.avg_pool(ts[0], 5, 1, "same")), [x])
-
-    def test_elu(self):
-        x = t64(np.random.default_rng(26).normal(size=(1, 2, 4, 4)))
-        loss = weighted_sum_loss(27, (1, 2, 4, 4))
-        self._check(lambda ts: loss(ad.elu(ts[0])), [x])
-
-    def test_softmax_cross_entropy(self):
-        x = t64(np.random.default_rng(28).normal(size=(1, 4, 3, 3)))
-        lab = np.random.default_rng(29).integers(0, 4, size=(1, 3, 3))
-        self._check(lambda ts: ad.cross_entropy_loss(ad.softmax_channels(ts[0]), lab), [x])
-
-    def test_upsample_concat(self):
-        rng = np.random.default_rng(30)
-        a = t64(rng.normal(size=(1, 2, 3, 3)))
-        b = t64(rng.normal(size=(1, 1, 6, 6)))
-        loss = weighted_sum_loss(31, (1, 3, 6, 6))
-        self._check(lambda ts: loss(ad.concat_channels([ad.upsample2(ts[0]), ts[1]])), [a, b])
-
-    def test_dmgn_frozen_noise(self):
-        x = t64(np.random.default_rng(32).normal(size=(1, 3, 4, 4)))
-        loss = weighted_sum_loss(33, (1, 3, 4, 4))
-        self._check(lambda ts: loss(ad.dmgn(ts[0], 0.25, True, np.random.default_rng(7))), [x])
 
     def test_stop_gradient_branch_removed(self):
         # analytic grad of sum(x + sg(f(x))) must equal the fd grad of the

@@ -200,13 +200,34 @@ def test_truncated_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
     assert "error code=3 kind=DataError" in capsys.readouterr().err
 
 
-def test_checkpoint_without_train_state_exits_data_code(pipeline, tmp_path, capsys):
-    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+def test_params_only_checkpoint_infers_but_cannot_resume(pipeline, tmp_path, capsys):
+    full = os.path.join(pipeline["runout"], "final.ckpt")
+    header, tensors = checkpoint.load_checkpoint(full)
     ckpt = str(tmp_path / "params_only.ckpt")
     checkpoint.save_checkpoint(ckpt, {"config_text": header["config_text"]},
                                {k: v for k, v in tensors.items() if k.startswith("param:")})
-    code = run(["infer", "--ckpt", ckpt, "--image", "/nonexistent.mcr",
-                "--out", str(tmp_path / "x")])
+    raw = pipeline["raw"]
+    image = os.path.join(raw, sorted(os.listdir(raw))[0])
+    for prefix, path in (("full", full), ("params", ckpt)):
+        assert run(["infer", "--ckpt", path, "--image", image,
+                    "--out", str(tmp_path / prefix)]) == 0
+    for suffix in ("_prediction.ppm", "_probabilities.npy"):
+        assert (tmp_path / f"params{suffix}").read_bytes() == (tmp_path / f"full{suffix}").read_bytes()
+    # past the digest check, the missing training state is a fault of the file
+    code = run(["train", "--config", pipeline["cfg_path"], "--out", str(tmp_path / "run"),
+                "--resume", ckpt, "--override-digest"])
+    assert code == 3
+    assert "error code=3 kind=DataError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5)], ids=["0x0", "0x5"])
+def test_zero_extent_raster_exits_data_code(pipeline, tmp_path, capsys, shape):
+    channels = {role: np.zeros(shape, dtype=np.uint8) for role in data.OPTICAL_ROLES}
+    channels["DSM"] = np.zeros(shape, dtype=np.float32)
+    image = str(tmp_path / "empty.mcr")
+    data.write_mcr(image, data.Raster(channels))
+    code = run(["infer", "--ckpt", os.path.join(pipeline["runout"], "final.ckpt"),
+                "--image", image, "--out", str(tmp_path / "x")])
     assert code == 3
     assert "error code=3 kind=DataError" in capsys.readouterr().err
 

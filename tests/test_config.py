@@ -41,6 +41,12 @@ def test_unknown_key_rejected():
         RunConfig.parse("learnign_rate=0.1\n")
 
 
+def test_retired_out_dir_skipped():
+    cfg = RunConfig.parse("out_dir=run\nseed=5\n")
+    assert cfg == RunConfig(seed=5)
+    assert "out_dir" not in cfg.serialize()
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigurationError, match="duplicate"):
         RunConfig.parse("seed=1\nseed=2\n")

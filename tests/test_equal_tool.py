@@ -19,19 +19,27 @@ def equal():
 
 def test_probes_run_and_compare_equal_to_themselves(equal, tmp_path):
     out = equal.run_probes(str(tmp_path))
-    assert {"desk_forward_32", "desk_grads", "desk_stitch_150", "train30_params",
-            "train30_losses", "train30_checkpoint_bytes", "paper_forward_128",
-            "paper_windowed_256"} <= out.keys()
     for name, a in out.items():
         assert a.size and np.isfinite(a).all(), name
-        assert equal.compare(a, a.copy()) == "equal", name
+    probes = equal.by_probe(out)
+    assert {"desk_forward_32", "desk_grads", "desk_stitch_150", "train30_params",
+            "train30_losses", "train30_checkpoint_bytes", "paper_forward_128",
+            "paper_windowed_256"} <= probes.keys()
+    assert "desk_grads/sccb.conv1.weight" in probes["desk_grads"]
+    for name, arrays in probes.items():
+        assert equal.compare(arrays, {k: a.copy() for k, a in arrays.items()}) == "equal", name
 
 
 def test_compare_reports_differences(equal):
     a = np.array([1.0, 2.0, np.nan, 4.0], dtype=np.float32)
     b = a.copy()
     b[1] = 2.5
-    assert equal.compare(a, b) == "max abs 0.5, max rel 0.2, 1 of 4 differ"
-    assert equal.compare(a, a[:3]) == "shapes differ: (4,) vs (3,)"
+    # relative to the tensor's largest magnitude, 4, not to the entry
+    assert equal.compare({"x": a}, {"x": b}) == "max abs 0.5, max rel 0.125, 1 of 4 differ"
+    small, moved = np.array([[1e-3, 0.0], [1e-3, 1e-4]], dtype=np.float32)
+    assert equal.compare({"p/a": a, "p/b": small}, {"p/a": a, "p/b": moved}) == (
+        "max abs 0.0001, max rel 0.1, 1 of 6 differ")
+    assert equal.compare({"x": a}, {"x": a[:3]}) == "shapes differ: (4,) vs (3,)"
     raw = np.zeros(8, dtype=np.uint8)
-    assert equal.compare(raw, raw + np.arange(8, dtype=np.uint8) % 2) == "4 of 8 bytes differ"
+    assert equal.compare({"x": raw}, {"x": raw + np.arange(8, dtype=np.uint8) % 2}) == (
+        "4 of 8 bytes differ")

@@ -7,7 +7,10 @@ REV is checked out in a temporary ``git worktree``.  The same probes (this
 file's ``PROBES``) run in each tree in a separate process that imports the
 package from that tree's ``src/``.  One line is printed per probe: "equal",
 or the largest absolute and relative difference and the count of differing
-elements.  Exits 1 when a probe differs.  Takes about a minute on 2 vCPUs.
+elements.  A probe is one array, or one array per tensor under keys
+``probe/tensor``; a difference is taken relative to the largest magnitude
+in its tensor.  Exits 1 when a probe differs.  Takes about a minute on
+2 vCPUs.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ def _inputs(seed, size):
     return rng.normal(size=(2, 1, 3, size, size)).astype(np.float32)
 
 
-def _flat(arrays):
-    return np.concatenate([np.ravel(a) for a in arrays])
-
-
 def probe_desk(work):
     """Desk eval forward, training-mode gradients and stitched inference."""
     from orthoseg import autodiff as ad
@@ -44,7 +43,7 @@ def probe_desk(work):
     probs = model.forward(*_inputs(2, 32), training=True, rng=np.random.default_rng(3))
     labels = np.random.default_rng(4).integers(0, 6, size=(1, 32, 32))
     ad.backward(ad.cross_entropy_loss(probs, labels))
-    out["desk_grads"] = _flat(t.grad for t in model.params.values())
+    out.update({f"desk_grads/{name}": t.grad for name, t in model.params.items()})
     raster = data.synth_dataset(1, 150, seed=5)[0]
     out["desk_stitch_150"], _ = inference.infer_full_raster(
         Model.build(RunConfig.desk().network_config(), seed=0), raster, 64, 16, 32)
@@ -67,7 +66,7 @@ def probe_training(work):
         rows = [line.split(",") for line in f.read().splitlines()[1:]]
     with open(os.path.join(run, "final.ckpt"), "rb") as f:
         ckpt = np.frombuffer(f.read(), dtype=np.uint8)
-    return {"train30_params": _flat(t.data for t in model.params.values()),
+    return {**{f"train30_params/{name}": t.data for name, t in model.params.items()},
             "train30_losses": np.array([[float(r[1]), float(r[2])] for r in rows]),
             "train30_checkpoint_bytes": ckpt}
 
@@ -97,20 +96,54 @@ def run_probes(work):
     return out
 
 
+def by_probe(arrays):
+    """Probe name -> {key: array}; the keys ``probe/tensor`` form one probe."""
+    probes = {}
+    for key, a in arrays.items():
+        probes.setdefault(key.split("/")[0], {})[key] = a
+    return probes
+
+
 def compare(a, b):
-    """"equal", or how the arrays ``a`` and ``b`` differ."""
-    if a.shape != b.shape:
-        return f"shapes differ: {a.shape} vs {b.shape}"
-    if a.tobytes() == b.tobytes():
+    """"equal", or how the probes ``a`` and ``b`` ({key: array}) differ.
+    Each difference is relative to the largest finite magnitude in its
+    tensor, so entries near zero do not read large."""
+    if a.keys() != b.keys():
+        return f"tensors differ: {len(a)} vs {len(b)}"
+    pairs = [(a[k], b[k]) for k in a]
+    if any(x.shape != y.shape for x, y in pairs):
+        return "shapes differ: " + ", ".join(f"{x.shape} vs {y.shape}" for x, y in pairs
+                                             if x.shape != y.shape)
+    if all(x.tobytes() == y.tobytes() for x, y in pairs):
         return "equal"
-    if a.dtype == np.uint8:
-        return f"{int((a != b).sum())} of {a.size} bytes differ"
-    a, b = a.astype(np.float64), b.astype(np.float64)
-    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
-    diff = np.abs(a - b)[differ]
-    scale = np.maximum(np.abs(a), np.abs(b))[differ]
-    rel = np.divide(diff, scale, out=np.full_like(diff, np.inf), where=scale > 0)
-    return f"max abs {diff.max():.3g}, max rel {rel.max():.3g}, {int(differ.sum())} of {a.size} differ"
+    size = sum(x.size for x, _ in pairs)
+    if all(x.dtype == np.uint8 for x, _ in pairs):
+        return f"{sum(int((x != y).sum()) for x, y in pairs)} of {size} bytes differ"
+    count, max_abs, max_rel = 0, 0.0, 0.0
+    for x, y in pairs:
+        x, y = x.astype(np.float64), y.astype(np.float64)
+        differ = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+        diff = np.abs(x - y)[differ]
+        if not diff.size:
+            continue
+        scale = max(np.abs(v[np.isfinite(v)]).max(initial=0.0) for v in (x, y))
+        count += diff.size
+        max_abs = max(max_abs, diff.max())
+        max_rel = max(max_rel, diff.max() / scale if scale > 0 else np.inf)
+    return f"max abs {max_abs:.3g}, max rel {max_rel:.3g}, {count} of {size} differ"
+
+
+def report(theirs, ours, rev):
+    """Prints one verdict per probe of the arrays ``theirs`` (from ``rev``)
+    and ``ours`` (the working tree); returns how many differ."""
+    theirs, ours = by_probe(theirs), by_probe(ours)
+    differs = 0
+    for name in sorted(ours.keys() | theirs.keys()):
+        verdict = (compare(theirs[name], ours[name]) if name in ours and name in theirs
+                   else "missing in " + ("the working tree" if name in theirs else rev))
+        print(f"{name}: {verdict}")
+        differs += verdict != "equal"
+    return differs
 
 
 def _run_tree(src, path):
@@ -130,8 +163,10 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         ours = _run_tree(os.path.join(ROOT, "src"), os.path.join(tmp, "ours.npz"))
         if not argv:
-            for name, a in ours.items():
-                print(f"{name}: {a.shape} {a.dtype}, finite {bool(np.isfinite(a).all())}")
+            for name, arrays in by_probe(ours).items():
+                finite = all(np.isfinite(a).all() for a in arrays.values())
+                size = sum(a.size for a in arrays.values())
+                print(f"{name}: {size} elements in {len(arrays)} tensor(s), finite {finite}")
             return 0
         tree = os.path.join(tmp, "tree")
         subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet", tree, argv[0]],
@@ -140,13 +175,7 @@ def main(argv):
             theirs = _run_tree(os.path.join(tree, "src"), os.path.join(tmp, "theirs.npz"))
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
-    differs = 0
-    for name in sorted(ours.keys() | theirs.keys()):
-        verdict = (compare(theirs[name], ours[name]) if name in ours and name in theirs
-                   else "missing in " + ("the working tree" if name in theirs else argv[0]))
-        print(f"{name}: {verdict}")
-        differs += verdict != "equal"
-    return 1 if differs else 0
+    return 1 if report(theirs, ours, argv[0]) else 0
 
 
 if __name__ == "__main__":
