@@ -1,10 +1,23 @@
-"""Binary checkpoint container.
+"""Binary checkpoint container, format version 2.
 
 Layout (all integers little-endian):
   magic "OSCK" | u32 format version | u32 header length | header JSON
   (sorted keys) | u32 tensor count | records.
 Each record: u16 name length + UTF-8 name | u8 dtype code (1 = f32,
-2 = f64) | u8 rank | u32 extents | raw little-endian payload.
+2 = f64) | u8 rank | u32 extents | zero padding | raw little-endian payload.
+The padding (0 to 63 zero bytes) starts every payload at a multiple of 64
+bytes from the start of the file. Version 1 files, which have no padding,
+still load.
+
+``load_checkpoint`` maps the file copy-on-write and returns each version 2
+payload as a view of the mapping. A page is read from disk only when it is
+first touched, so a caller that uses only the parameters never reads the
+velocities, and a write to a loaded array goes to a private page of this
+process, never to the file. Version 1 payloads, which are unaligned, are
+read into arrays of their own instead, without touching the mapping. The writer
+renames a new file over the old one, so arrays loaded before a save keep
+their values; a loaded file must never be truncated or rewritten in place,
+which would end in SIGBUS rather than ``DataError``.
 
 The header carries the run-config digest (sha256 of its canonical
 serialization), schedule state and RNG state, making save -> load -> save
@@ -16,16 +29,17 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 
 import numpy as np
 
-from .data import _exact_reader
 from .errors import ConfigurationError, DataError
 
 MAGIC = b"OSCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_ALIGN = 64  # payload alignment from version 2 on
 
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
@@ -35,8 +49,9 @@ _MAX_RANK = 32  # the most dimensions any numpy version allocates
 def save_checkpoint(path, header, tensors):
     """``header``: JSON-serializable dict; ``tensors``: name -> float array.
 
-    Writes ``path + ".tmp"``, syncs it to disk and renames it over ``path``,
-    so a failed or killed write leaves any previous checkpoint intact."""
+    Writes ``path + ".tmp"``, syncs it to disk, renames it over ``path`` and
+    syncs the directory, so a failed or killed write leaves any previous
+    checkpoint intact and a finished one survives a crash."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -54,6 +69,7 @@ def save_checkpoint(path, header, tensors):
                 f.write(nb)
                 f.write(struct.pack("BB", _CODES[dt], arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(bytes(-f.tell() % _ALIGN))
                 f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
             f.flush()
             os.fsync(f.fileno())
@@ -62,28 +78,48 @@ def save_checkpoint(path, header, tensors):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:  # makes the rename itself durable
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path):
     """Returns (header dict, ordered name -> array dict).
 
-    Each payload is read straight into its own array. Every extent is
-    checked against the bytes left in the file before anything is
-    allocated, so a truncated or malformed file raises ``DataError``."""
+    The file is mapped once, copy-on-write, and the header and record table
+    are parsed from the mapping with every extent checked against the file
+    size, so a truncated or malformed file raises ``DataError`` before any
+    payload is touched. Version 2 payloads are writable views of the
+    mapping; version 1 payloads are read into arrays of their own."""
     with open(path, "rb") as f:
-        read = _exact_reader(f)
+        try:
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError:  # an empty file cannot be mapped
+            buf = b""
+        pos = 0
+
+        def take(n, what):
+            """Offset of the next ``n`` bytes, which must lie inside the file."""
+            nonlocal pos
+            if n > len(buf) - pos:
+                raise DataError(f"{path}: truncated {what}")
+            pos += n
+            return pos - n
 
         def unpack(fmt, what):
-            return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+            return struct.unpack_from(fmt, buf, take(struct.calcsize(fmt), what))
 
-        if read(len(MAGIC), "magic") != MAGIC:
+        if unpack("4s", "magic")[0] != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
         (version,) = unpack("<I", "format version")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise DataError(f"{path}: unsupported format version {version}")
         (hlen,) = unpack("<I", "header length")
+        start = take(hlen, "header")
         try:
-            header = json.loads(read(hlen, "header").decode("utf-8"))
+            header = json.loads(buf[start:pos].decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or bad JSON
             raise DataError(f"{path}: malformed header: {exc}") from exc
         if not isinstance(header, dict):
@@ -92,8 +128,9 @@ def load_checkpoint(path):
         tensors = {}
         for _ in range(count):
             (nlen,) = unpack("<H", "record")
+            start = take(nlen, "record")
             try:
-                name = read(nlen, "record").decode("utf-8")
+                name = buf[start:pos].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: tensor name is not UTF-8") from exc
             code, rank = unpack("BB", f"record {name}")
@@ -104,22 +141,35 @@ def load_checkpoint(path):
             if name in tensors:
                 raise DataError(f"{path}: duplicate tensor name {name}")
             shape = unpack(f"<{rank}I", f"record {name}")
-            dt = _DTYPES[code]
-            tensors[name] = read(math.prod(shape) * dt.itemsize, f"payload for {name}",
-                                 lambda: _empty(shape, dt, path, name))
+            if version > 1:
+                start = take(-pos % _ALIGN, f"padding for {name}")
+                if buf[start:pos].count(0) != pos - start:
+                    raise DataError(f"{path}: non-zero padding before {name}")
+            dt, size = _DTYPES[code], math.prod(shape)
+            start = take(size * dt.itemsize, f"payload for {name}")
+            try:
+                arr = np.frombuffer(buf, dt, size, start).reshape(shape)
+            except ValueError as exc:  # zero-size, yet too many elements to index
+                raise DataError(f"{path}: unsupported extents {shape} for {name}") from exc
+            if version == 1:  # unaligned: read into an array of its own, not the mapping
+                f.seek(start)
+                f.readinto(arr := np.empty_like(arr))
+            tensors[name] = arr
         return header, tensors
 
 
-def _empty(shape, dtype, path, name):
-    try:
-        return np.empty(shape, dtype=dtype)
-    except ValueError as exc:  # zero-size, yet too many elements to index
-        raise DataError(f"{path}: unsupported extents {shape} for {name}") from exc
-
-
 def check_digest(header, expected_digest, override=False):
+    """Raises unless ``header`` was saved under the run config whose digest
+    is ``expected_digest``, or ``override`` is set: ``DataError`` when the
+    header holds no digest string (a fault of the file), and
+    ``ConfigurationError`` when it holds another config's digest."""
+    if override:
+        return
     got = header.get("config_digest")
-    if got != expected_digest and not override:
+    if not isinstance(got, str):
+        raise DataError(f"checkpoint header holds no config digest string, but {got!r} "
+                        "(pass the override flag to force)")
+    if got != expected_digest:
         raise ConfigurationError(
             f"checkpoint config digest {got} does not match run config "
             f"{expected_digest} (pass the override flag to force)")

@@ -96,18 +96,16 @@ def write_mcr(path, raster):
 
 
 def _exact_reader(f):
-    """``read(n, what, alloc=None)``: the next ``n`` bytes of ``f``, or the
-    ``n``-byte buffer ``alloc()`` returns filled with them.  ``n`` is checked
+    """``read(n, what)``: the next ``n`` bytes of ``f``.  ``n`` is checked
     against the bytes left before anything is allocated or read, so a bogus
     size costs nothing; a short file raises ``DataError`` naming ``what``."""
     left = os.fstat(f.fileno()).st_size - f.tell()
 
-    def read(n, what, alloc=None):
+    def read(n, what):
         nonlocal left
         if n > left:
             raise DataError(f"{f.name}: truncated {what}")
-        got = len(buf := f.read(n)) if alloc is None else f.readinto(buf := alloc())
-        if got != n:
+        if len(buf := f.read(n)) != n:
             raise DataError(f"{f.name}: truncated {what}")
         left -= n
         return buf

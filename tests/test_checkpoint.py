@@ -1,7 +1,9 @@
-"""Checkpoint container tests: byte layout, round trips, bounded loads and
-digest gating."""
+"""Checkpoint container tests: byte layout, round trips, bounded loads,
+copy-on-write loads, version 1 files and digest gating."""
 
+import hashlib
 import os
+import stat
 import struct
 import tracemalloc
 from pathlib import Path
@@ -50,7 +52,7 @@ def test_header_layout(tmp_path):
     raw = Path(path).read_bytes()
     assert raw[:4] == b"OSCK"
     (version,) = struct.unpack("<I", raw[4:8])
-    assert version == 1
+    assert version == 2
     (hlen,) = struct.unpack("<I", raw[8:12])
     assert raw[12:12 + hlen] == b'{"a": 1, "b": 2}'  # sorted keys
     (count,) = struct.unpack("<I", raw[12 + hlen:16 + hlen])
@@ -83,9 +85,9 @@ def test_every_truncation_raises_data_error(tmp_path):
             ckpt.load_checkpoint(path)
 
 
-def raw_checkpoint(header_blob, records=b"", count=0):
+def raw_checkpoint(header_blob, records=b"", count=0, version=1):
     """Container bytes around an arbitrary header blob and record bytes."""
-    return (b"OSCK" + struct.pack("<II", 1, len(header_blob)) + header_blob
+    return (b"OSCK" + struct.pack("<II", version, len(header_blob)) + header_blob
             + struct.pack("<I", count) + records)
 
 
@@ -156,3 +158,140 @@ def test_check_digest():
     with pytest.raises(ConfigurationError, match="digest"):
         ckpt.check_digest(header, "def")
     ckpt.check_digest(header, "def", override=True)
+
+
+@pytest.mark.parametrize("header", [{}, {"config_digest": None}, {"config_digest": 7}],
+                         ids=["missing", "null", "number"])
+def test_check_digest_without_digest_string_is_data_error(header):
+    with pytest.raises(DataError, match="no config digest"):
+        ckpt.check_digest(header, "abc")
+    ckpt.check_digest(header, "abc", override=True)
+
+
+def payload_offsets(raw):
+    """File offset of every payload, walked from the layout alone."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    (count,) = struct.unpack_from("<I", raw, 12 + hlen)
+    pos, offsets = 16 + hlen, []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", raw, pos)
+        code, rank = struct.unpack_from("BB", raw, pos + 2 + nlen)
+        shape = struct.unpack_from(f"<{rank}I", raw, pos + 4 + nlen)
+        pos += 4 + nlen + 4 * rank
+        padding = -pos % 64
+        assert raw[pos:pos + padding] == bytes(padding)
+        pos += padding
+        offsets.append(pos)
+        pos += int(np.prod(shape)) * (8 if code == 2 else 4)
+    assert pos == len(raw)
+    return offsets
+
+
+def test_payloads_start_at_multiples_of_64(tmp_path):
+    path = tmp_path / "t.ckpt"
+    tensors = dict(sample_tensors(), empty=np.zeros((0, 3), dtype=np.float32),
+                   odd=np.ones(3, dtype=np.float32))
+    ckpt.save_checkpoint(str(path), {"k": "odd length"}, tensors)
+    offsets = payload_offsets(path.read_bytes())
+    assert len(offsets) == len(tensors)
+    assert all(offset % 64 == 0 for offset in offsets)
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_loaded_arrays_are_aligned_writable_views(tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    ckpt.save_checkpoint(path, {}, sample_tensors())
+    _, loaded = ckpt.load_checkpoint(path)
+    for name, arr in loaded.items():
+        assert arr.flags.aligned and arr.flags.writeable, name
+        assert not arr.flags.owndata, name
+        assert arr.ctypes.data % 64 == 0, name
+
+
+def test_write_to_loaded_array_leaves_file_unchanged(tmp_path):
+    path = str(tmp_path / "t.ckpt")
+    ckpt.save_checkpoint(path, {}, sample_tensors())
+    before = sha256(path)
+    _, loaded = ckpt.load_checkpoint(path)
+    loaded["param:a.weight"] += 1.0
+    loaded["stats"][:] = 0.0
+    del loaded
+    assert sha256(path) == before
+    _, again = ckpt.load_checkpoint(path)
+    for name, arr in sample_tensors().items():
+        assert np.array_equal(again[name], arr)
+
+
+def test_save_over_loaded_path_keeps_loaded_values(tmp_path):
+    path = str(tmp_path / "latest.ckpt")
+    ckpt.save_checkpoint(path, {}, sample_tensors())
+    _, loaded = ckpt.load_checkpoint(path)
+    ckpt.save_checkpoint(path, {}, {name: arr + 1.0 for name, arr in sample_tensors().items()})
+    for name, arr in sample_tensors().items():
+        assert np.array_equal(loaded[name], arr)
+    _, fresh = ckpt.load_checkpoint(path)
+    assert np.array_equal(fresh["stats"], sample_tensors()["stats"] + 1.0)
+
+
+def test_version_1_file_loads_bit_equal(tmp_path, v1_checkpoint):
+    path = tmp_path / "v1.ckpt"
+    tensors = dict(sample_tensors(), empty=np.zeros((0, 3), dtype=np.float32))
+    path.write_bytes(v1_checkpoint({"iteration": 4}, tensors))
+    header, loaded = ckpt.load_checkpoint(str(path))
+    assert header == {"iteration": 4}
+    assert list(loaded) == list(tensors)
+    for name, arr in tensors.items():
+        assert loaded[name].dtype == arr.dtype
+        assert loaded[name].tobytes() == arr.tobytes()
+        assert loaded[name].flags.owndata and loaded[name].flags.aligned, name
+    # re-saving writes version 2 with the same tensors
+    ckpt.save_checkpoint(str(tmp_path / "v2.ckpt"), header, loaded)
+    _, resaved = ckpt.load_checkpoint(str(tmp_path / "v2.ckpt"))
+    for name, arr in tensors.items():
+        assert resaved[name].tobytes() == arr.tobytes()
+
+
+def test_unknown_version_rejected(tmp_path):
+    path = tmp_path / "v3.ckpt"
+    path.write_bytes(raw_checkpoint(b"{}", version=3))
+    with pytest.raises(DataError, match="unsupported format version 3"):
+        ckpt.load_checkpoint(str(path))
+
+
+def test_empty_file_rejected(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match="truncated magic"):
+        ckpt.load_checkpoint(str(path))
+
+
+def test_nonzero_padding_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    ckpt.save_checkpoint(str(path), {}, {"w": np.ones(3, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    (offset,) = payload_offsets(bytes(raw))
+    raw[offset - 1] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="non-zero padding before w"):
+        ckpt.load_checkpoint(str(path))
+
+
+def test_save_syncs_directory_after_rename(tmp_path, monkeypatch):
+    path = tmp_path / "latest.ckpt"
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), os.fstat(fd).st_ino,
+                       path.exists(), os.path.exists(f"{path}.tmp")))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    ckpt.save_checkpoint(str(path), {}, sample_tensors())
+    assert len(synced) == 2
+    assert synced[0][0] is False  # the file's data, before the rename
+    # then the directory, after the rename replaced the temporary file
+    assert synced[1] == (True, tmp_path.stat().st_ino, True, False)

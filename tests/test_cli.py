@@ -220,6 +220,21 @@ def test_params_only_checkpoint_infers_but_cannot_resume(pipeline, tmp_path, cap
     assert "error code=3 kind=DataError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digest,code,kind", [
+    (None, 3, "DataError"), (7, 3, "DataError"), ("0" * 64, 2, "ConfigurationError")],
+    ids=["missing", "number", "other-config"])
+def test_resume_digest_exit_codes(pipeline, tmp_path, capsys, digest, code, kind):
+    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    header = {k: v for k, v in header.items() if k != "config_digest"}
+    if digest is not None:
+        header["config_digest"] = digest
+    ckpt = str(tmp_path / "resume.ckpt")
+    checkpoint.save_checkpoint(ckpt, header, tensors)
+    assert run(["train", "--config", pipeline["cfg_path"], "--out", str(tmp_path / "run"),
+                "--resume", ckpt]) == code
+    assert f"error code={code} kind={kind}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5)], ids=["0x0", "0x5"])
 def test_zero_extent_raster_exits_data_code(pipeline, tmp_path, capsys, shape):
     channels = {role: np.zeros(shape, dtype=np.uint8) for role in data.OPTICAL_ROLES}

@@ -23,9 +23,10 @@ def test_probes_run_and_compare_equal_to_themselves(equal, tmp_path):
         assert a.size and np.isfinite(a).all(), name
     probes = equal.by_probe(out)
     assert {"desk_forward_32", "desk_grads", "desk_stitch_150", "train30_params",
-            "train30_losses", "train30_checkpoint_bytes", "paper_forward_128",
-            "paper_windowed_256"} <= probes.keys()
+            "train30_losses", "train30_checkpoint_header", "train30_checkpoint",
+            "paper_forward_128", "paper_windowed_256"} <= probes.keys()
     assert "desk_grads/sccb.conv1.weight" in probes["desk_grads"]
+    assert "train30_checkpoint/param:sccb.conv1.weight" in probes["train30_checkpoint"]
     for name, arrays in probes.items():
         assert equal.compare(arrays, {k: a.copy() for k, a in arrays.items()}) == "equal", name
 

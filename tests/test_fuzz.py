@@ -19,30 +19,30 @@ from orthoseg.network import Model
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
-def valid_files(root):
-    """reader -> bytes of one small well-formed file it accepts."""
+def valid_files(root, v1_checkpoint):
+    """id -> (reader, bytes of one small well-formed file it accepts)."""
     rng = np.random.default_rng(0)
     optical = {r: rng.integers(0, 256, (3, 4)).astype(np.uint8) for r in data.OPTICAL_ROLES}
     raster = data.Raster({**optical, "DSM": rng.normal(0, 1, (3, 4)).astype(np.float32),
                           "LABEL": rng.integers(0, 6, (3, 4)).astype(np.uint8)})
     data.write_mcr(root / "v.mcr", raster)
     data.write_ppm(root / "v.ppm", data.colorize(raster.channels["LABEL"]))
-    checkpoint.save_checkpoint(str(root / "v.ckpt"), {"config_text": "seed=1\n", "lr": 0.1},
-                               {"param:a": rng.normal(size=(2, 3)).astype(np.float32),
-                                "velocity:a": np.zeros(4)})
-    return {data.read_mcr: (root / "v.mcr").read_bytes(),
-            data.read_ppm: (root / "v.ppm").read_bytes(),
-            checkpoint.load_checkpoint: (root / "v.ckpt").read_bytes()}
+    header = {"config_text": "seed=1\n", "lr": 0.1}
+    tensors = {"param:a": rng.normal(size=(2, 3)).astype(np.float32), "velocity:a": np.zeros(4)}
+    checkpoint.save_checkpoint(str(root / "v.ckpt"), header, tensors)
+    return {"mcr": (data.read_mcr, (root / "v.mcr").read_bytes()),
+            "ppm": (data.read_ppm, (root / "v.ppm").read_bytes()),
+            "checkpoint": (checkpoint.load_checkpoint, (root / "v.ckpt").read_bytes()),
+            "checkpoint-v1": (checkpoint.load_checkpoint, v1_checkpoint(header, tensors))}
 
 
-READERS = [data.read_mcr, data.read_ppm, checkpoint.load_checkpoint]
-IDS = ["mcr", "ppm", "checkpoint"]
+IDS = ["mcr", "ppm", "checkpoint", "checkpoint-v1"]
 
 
 @pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
+def fuzz_dir(tmp_path_factory, v1_checkpoint):
     root = tmp_path_factory.mktemp("fuzz")
-    return root, valid_files(root)
+    return root, valid_files(root, v1_checkpoint)
 
 
 def read_only_typed_errors(reader, path, raw):
@@ -55,37 +55,39 @@ def read_only_typed_errors(reader, path, raw):
 
 def test_valid_files_read(fuzz_dir):
     root, valid = fuzz_dir
-    for reader, raw in valid.items():
+    for reader, raw in valid.values():
         path = root / "ok.bin"
         path.write_bytes(raw)
         reader(str(path))
 
 
-@pytest.mark.parametrize("reader", READERS, ids=IDS)
+@pytest.mark.parametrize("kind", IDS)
 @FUZZ
 @given(raw=st.binary(max_size=256), magic=st.booleans())
-def test_arbitrary_bytes(fuzz_dir, reader, raw, magic):
+def test_arbitrary_bytes(fuzz_dir, kind, raw, magic):
     root, valid = fuzz_dir
-    prefix = valid[reader][:4] if magic else b""  # reach past the magic check
+    reader, seed = valid[kind]
+    prefix = seed[:4] if magic else b""  # reach past the magic check
     read_only_typed_errors(reader, root / "arbitrary.bin", prefix + raw)
 
 
-@pytest.mark.parametrize("reader", READERS, ids=IDS)
+@pytest.mark.parametrize("kind", IDS)
 @FUZZ
 @given(cut=st.floats(0, 1, exclude_max=True))
-def test_truncated(fuzz_dir, reader, cut):
+def test_truncated(fuzz_dir, kind, cut):
     root, valid = fuzz_dir
-    raw = valid[reader]
+    reader, raw = valid[kind]
     read_only_typed_errors(reader, root / "truncated.bin", raw[:int(cut * len(raw))])
 
 
-@pytest.mark.parametrize("reader", READERS, ids=IDS)
+@pytest.mark.parametrize("kind", IDS)
 @FUZZ
 @given(flips=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
                       min_size=1, max_size=4))
-def test_byte_flipped(fuzz_dir, reader, flips):
+def test_byte_flipped(fuzz_dir, kind, flips):
     root, valid = fuzz_dir
-    raw = bytearray(valid[reader])
+    reader, raw = valid[kind]
+    raw = bytearray(raw)
     for where, mask in flips:
         raw[int(where * len(raw))] ^= mask
     read_only_typed_errors(reader, root / "flipped.bin", bytes(raw))

@@ -16,6 +16,7 @@ in its tensor.  Exits 1 when a probe differs.  Takes about a minute on
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -51,8 +52,11 @@ def probe_desk(work):
 
 
 def probe_training(work):
-    """Parameters, losses and checkpoint bytes after 30 desk iterations."""
-    from orthoseg import data, trainer
+    """Parameters, losses and the decoded checkpoint after 30 desk
+    iterations: its canonical header JSON, and each tensor under
+    ``train30_checkpoint/<name>``, so trees whose checkpoint formats differ
+    compare by content."""
+    from orthoseg import checkpoint, data, trainer
     from orthoseg.config import RunConfig
     from orthoseg.network import Model
 
@@ -64,11 +68,12 @@ def probe_training(work):
     trainer.train_loop(cfg, model, samples[:4], samples[4:], run, max_iterations=30)
     with open(os.path.join(run, "metrics.csv"), encoding="utf-8") as f:
         rows = [line.split(",") for line in f.read().splitlines()[1:]]
-    with open(os.path.join(run, "final.ckpt"), "rb") as f:
-        ckpt = np.frombuffer(f.read(), dtype=np.uint8)
+    header, tensors = checkpoint.load_checkpoint(os.path.join(run, "final.ckpt"))
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return {**{f"train30_params/{name}": t.data for name, t in model.params.items()},
             "train30_losses": np.array([[float(r[1]), float(r[2])] for r in rows]),
-            "train30_checkpoint_bytes": ckpt}
+            "train30_checkpoint_header": np.frombuffer(blob, dtype=np.uint8),
+            **{f"train30_checkpoint/{name}": a for name, a in tensors.items()}}
 
 
 def probe_paper(work):
