@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, OrthosegError
+from .errors import ConfigurationError, DataError, OrthosegError
 
 _grad_enabled = True
 _creation = itertools.count()  # Tensor creation index, for the tape walk
@@ -120,21 +120,19 @@ def _column_blocks(rows_by_depth, length):
 
 class _Pack:
     """Consecutive ``conv2d`` inputs at one resolution, zero-padded side by
-    side in one flat buffer ``xp``, with the weight rows that read them."""
+    side in one flat buffer ``xp``, with ``wt``, the (kh,kw,Co,Ci) view of
+    the weight channels that read them."""
 
-    def __init__(self, scale, inputs, c0, weights, dilation):
-        self.scale, self.inputs = scale, inputs
+    def __init__(self, scale, inputs, wt, dilation):
+        self.scale, self.inputs, self.wt = scale, inputs, wt
         n, _, self.h, self.w = inputs[0].data.shape
-        self.ci = sum(t.data.shape[1] for t in inputs)
-        co, _, kh, kw = weights.data.shape
+        kh, kw, co, self.ci = wt.shape
         d = dilation // scale
         self.ph, self.pw = (kh - 1) * d // 2, (kw - 1) * d // 2
         self.hp, self.wp = self.h + 2 * self.ph + 1, self.w + 2 * self.pw
         self.length = (n - 1) * self.hp * self.wp + self.h * self.wp
         self.taps = [(i, j, i * d * self.wp + j * d) for i in range(kh) for j in range(kw)]
         self.blocks = _column_blocks(co * self.ci, self.length)
-        # (kh,kw,Co,Ci) for this pack's channels
-        self.wtap = np.ascontiguousarray(weights.data[:, c0 : c0 + self.ci].transpose(2, 3, 0, 1))
         self.xp = np.zeros((self.ci, n * self.hp * self.wp), dtype=inputs[0].data.dtype)
         rows = 0
         for t in inputs:
@@ -149,26 +147,26 @@ class _Pack:
 
     def forward(self):
         """The pack's tap sums, an (N, Co, H, W) view of its accumulator."""
-        co = self.wtap.shape[2]
+        co = self.wt.shape[2]
         acc, tmp = np.empty((2, co, self.xp.shape[1]), dtype=self.xp.dtype)
         for c0, c1 in self.blocks:
             a, t = acc[:, c0:c1], tmp[:, c0:c1]
-            np.matmul(self.wtap[0, 0], self.xp[:, c0:c1], out=a)
+            np.matmul(self.wt[0, 0], self.xp[:, c0:c1], out=a)
             for i, j, off in self.taps[1:]:
-                a += np.matmul(self.wtap[i, j], self.xp[:, off + c0 : off + c1], out=t)
+                a += np.matmul(self.wt[i, j], self.xp[:, off + c0 : off + c1], out=t)
         return acc.reshape(co, -1, self.hp, self.wp)[:, :, : self.h, : self.w].transpose(1, 0, 2, 3)
 
-    def backward(self, g, need_gw):
-        """(input gradients, (kh,kw,Co,Ci) weight gradient) for the
-        gradient ``g`` at this pack's resolution."""
+    def backward(self, g, gw):
+        """The input gradients for the gradient ``g`` at this pack's
+        resolution; adds the tap sums into ``gw``, the (kh,kw,Co,Ci) weight
+        gradient of this pack's channels, unless it is None."""
         co, n = g.shape[1], g.shape[0]
         gf = np.zeros((co, n * self.hp * self.wp), dtype=g.dtype)
         gf.reshape(co, n, self.hp, self.wp)[:, :, : self.h, : self.w] = g.transpose(1, 0, 2, 3)
-        gw = np.zeros_like(self.wtap) if need_gw else None
         # input gradients only for the channel rows of inputs that take one
         sizes = [t.data.shape[1] for t in self.inputs]
         live = np.repeat([t.requires_grad for t in self.inputs], sizes)
-        wsel = self.wtap if live.all() else self.wtap[..., live]
+        wsel = self.wt if live.all() else self.wt[..., live]
         gx = np.zeros((wsel.shape[3], gf.shape[1]), dtype=g.dtype) if live.any() else None
         tmp = np.empty((wsel.shape[3], self.length), dtype=g.dtype)
         for (i, j, off), (c0, c1) in itertools.product(self.taps, self.blocks):
@@ -180,7 +178,7 @@ class _Pack:
         for t, c in zip(self.inputs, sizes):
             gxs.append(self.padded(gx[rows : rows + c]).transpose(1, 0, 2, 3) if t.requires_grad else None)
             rows += c if t.requires_grad else 0
-        return gxs, gw
+        return gxs
 
 
 def conv2d(x, weights, bias, dilation=1, padding="same"):
@@ -221,7 +219,7 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
         raise ConfigurationError(f"unknown padding {padding!r}")
     if (kh - 1) * dilation % 2 or (kw - 1) * dilation % 2:
         raise ConfigurationError("same padding needs odd effective kernel extent")
-    groups, cin = [], 0  # [scale, inputs, first weight channel]
+    groups, cin = [], 0  # [scale, inputs, weight channel range]
     for t in xs:
         tn, tc, th, tw = t.data.shape
         scale = 1 if (tn, th, tw) == (n, h, w) else 2
@@ -229,14 +227,15 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
             raise ConfigurationError(f"conv input extent {(tn, th, tw)} is neither {(n, h, w)} nor half")
         if scale == 2 and dilation % 2:
             raise ConfigurationError(f"a half-resolution input needs an even dilation, got {dilation}")
-        if groups and groups[-1][0] == scale:
-            groups[-1][1].append(t)
-        else:
-            groups.append([scale, [t], cin])
+        if not groups or groups[-1][0] != scale:
+            groups.append([scale, [], slice(cin, cin)])
+        groups[-1][1].append(t)
         cin += tc
+        groups[-1][2] = slice(groups[-1][2].start, cin)
     if cin != ci:
         raise ConfigurationError(f"input channels {cin} != weight channels {ci}")
-    packs = [_Pack(scale, inputs, c0, weights, dilation) for scale, inputs, c0 in groups]
+    wt = np.ascontiguousarray(weights.data.transpose(2, 3, 0, 1))  # tap-major (kh,kw,Co,Ci)
+    packs = [_Pack(scale, inputs, wt[..., cols], dilation) for scale, inputs, cols in groups]
 
     # the first full-resolution pack plus the bias, then every other pack
     base = next(p for p in packs if p.scale == 1)
@@ -253,14 +252,12 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3)).astype(bias.data.dtype) if bias.requires_grad else None
-        gxs, gws = [], []
-        for p in packs:
+        gw = np.zeros_like(wt) if weights.requires_grad else None
+        gxs = []
+        for p, (*_, cols) in zip(packs, groups):
             gp = g if p.scale == 1 else g.reshape(n, co, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-            gx, gw = p.backward(gp, weights.requires_grad)
-            gxs += gx
-            gws.append(gw)
-        gw = np.concatenate(gws, axis=3).transpose(2, 3, 0, 1) if weights.requires_grad else None
-        return (*gxs, gw, gb)
+            gxs += p.backward(gp, None if gw is None else gw[..., cols])
+        return (*gxs, None if gw is None else gw.transpose(2, 3, 0, 1), gb)
 
     return _node(out, (*xs, weights, bias), bwd)
 
@@ -475,7 +472,7 @@ def cross_entropy_loss(probs, labels):
     if lab.shape != (n, h, w):
         raise ConfigurationError(f"labels shape {lab.shape} != {(n, h, w)}")
     if lab.min() < 0 or lab.max() >= c:
-        raise OrthosegError(f"label out of range [0,{c})")
+        raise DataError(f"label out of range [0,{c})")
     idx = lab[:, None, :, :].astype(np.int64)
     ptrue = np.take_along_axis(p, idx, axis=1)
     clamped = np.maximum(ptrue, 1e-12)

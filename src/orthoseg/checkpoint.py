@@ -70,7 +70,7 @@ def save_checkpoint(path, header, tensors):
                 f.write(struct.pack("BB", _CODES[dt], arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 f.write(bytes(-f.tell() % _ALIGN))
-                f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+                f.write(np.ascontiguousarray(arr, dtype=dt))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
+from .data import CLASS_NAMES
 from .errors import ConfigurationError
 from .network import NetworkConfig, NoiseRates
 
@@ -64,6 +65,12 @@ class RunConfig:
     noiserate_le512: float = 0.25
     noiserate_sccb: float = 0.0625
     noiserate_residual: float = 0.0625
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.num_classes != len(CLASS_NAMES):  # the label palette's classes
+            raise ConfigurationError(f"num_classes must be {len(CLASS_NAMES)}, got {self.num_classes}")
 
     # -- text form --------------------------------------------------------
 

@@ -92,7 +92,7 @@ def write_mcr(path, raster):
             f.write(name.ljust(16, b"\0"))
             f.write(struct.pack("B", _CODE_FOR[dt]))
         for role, dt in dtypes.items():
-            f.write(np.ascontiguousarray(raster.channels[role], dtype=dt).tobytes())
+            f.write(np.ascontiguousarray(raster.channels[role], dtype=dt))
 
 
 def _exact_reader(f):
@@ -170,7 +170,7 @@ def write_ppm(path, rgb):
     h, w = rgb.shape[:2]
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(rgb, dtype=np.uint8).tobytes())
+        f.write(np.ascontiguousarray(rgb, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +343,8 @@ def split_train_val(tilesets, fraction, seed):
     """
     if not 0 < fraction < 1:
         raise ConfigurationError(f"validation fraction {fraction} outside (0,1)")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     all_ids = [(si, oi) for si, ts in enumerate(tilesets) for oi in range(len(ts.origins))]
     rng = np.random.default_rng(seed)
     n_val = max(1, int(round(fraction * len(all_ids))))
@@ -460,6 +462,10 @@ def synth_raster(size, rng, raster_id):
 
 def synth_dataset(num_rasters, size, seed):
     """Deterministic synthetic multimodal rasters with exact labels."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if size < 1:
+        raise ConfigurationError(f"raster size must be >= 1, got {size}")
     master = np.random.default_rng(seed)
     rasters = []
     for i in range(num_rasters):

@@ -64,6 +64,8 @@ def plan_stitch(height, width, tile, stride, center):
         raise ConfigurationError("center region must fit the crop with equal margins")
     if stride > center:
         raise ConfigurationError("stride larger than center region leaves gaps")
+    if stride < 1:
+        raise ConfigurationError(f"stride must be >= 1, got {stride}")
     margin = (tile - center) // 2
     pad_rows, row_origins = _axis_plan(height, tile, stride, margin)
     pad_cols, col_origins = _axis_plan(width, tile, stride, margin)

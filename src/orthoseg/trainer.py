@@ -209,7 +209,8 @@ def state_from_checkpoint(path, network_config, expected_digest=None, override=F
 
 def state_from_tensors(header, tensors, network_config):
     """The TrainState held by a loaded checkpoint's ``header`` and
-    ``tensors``; float32 parameters and velocities are used in place. A
+    ``tensors``; float32 parameters and velocities are used in place
+    (``train_loop`` copies those that are views of a mapped file). A
     missing or malformed header entry (integers must be non-negative, the
     phase a known one) raises ``DataError`` naming it, as does a trainable
     parameter without a velocity of its shape. Other keys are ignored."""
@@ -300,6 +301,14 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     if state is None:
         state = init_state(model, run_cfg)
+    # a resumed state's arrays are views of the mapped checkpoint; arrays of
+    # their own let that file go once the run writes over it
+    for t in state.model.params.values():
+        if t.data.base is not None:
+            t.data = t.data.copy()
+    for name, v in state.velocities.items():
+        if v.base is not None:
+            state.velocities[name] = v.copy()
     digest = run_cfg.digest()
     cfg_text = run_cfg.serialize()
     limit = run_cfg.max_iterations if max_iterations is None else max_iterations

@@ -6,7 +6,7 @@ import pytest
 from orthoseg import autodiff as ad
 from orthoseg import network
 from orthoseg.cli import _gradcheck_cases
-from orthoseg.errors import ConfigurationError, OrthosegError
+from orthoseg.errors import ConfigurationError, DataError, OrthosegError
 
 
 def t64(arr, rg=False):
@@ -477,8 +477,9 @@ class TestCrossEntropy:
 
     def test_label_out_of_range(self):
         p = np.full((1, 2, 1, 1), 0.5)
-        with pytest.raises(OrthosegError):
-            ad.cross_entropy_loss(t64(p), np.array([[[5]]]))
+        for label in (2, 5, -1):
+            with pytest.raises(DataError, match=r"label out of range \[0,2\)"):
+                ad.cross_entropy_loss(t64(p), np.array([[[label]]]))
 
 
 class TestBackwardBasics:

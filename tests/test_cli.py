@@ -1,5 +1,6 @@
 """End-to-end command-line tests on a miniature synthetic dataset."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -89,6 +90,15 @@ def test_prepare_reports_malformed_raster(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error code=3" in err and "bad.mcr" in err
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--size", "0"], "raster size must be >= 1, got 0"),
+], ids=["negative-seed", "zero-size"])
+def test_synth_rejects_bad_argument(tmp_path, capsys, argv, detail):
+    assert run(["synth", "--out", str(tmp_path / "raw"), "--count", "1", *argv]) == 2
+    assert f"error code=2 kind=ConfigurationError: {detail}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +326,49 @@ def test_malformed_manifest_exits_data_code(pipeline, tmp_path, capsys, manifest
     assert code == 3
     err = capsys.readouterr().err
     assert "error code=3 kind=DataError" in err and detail in err
+
+
+def test_prepare_rejects_negative_seed(pipeline, tmp_path, capsys):
+    code = run(["prepare", "--input", pipeline["raw"], "--out", str(tmp_path / "prep"),
+                "--tile", "32", "--seed", "-1"])
+    assert code == 2
+    assert "error code=2 kind=ConfigurationError: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, detail", [
+    ("seed=-1", "seed must be >= 0, got -1"),
+    ("num_classes=3", "num_classes must be 6, got 3"),
+    ("num_classes=8", "num_classes must be 6, got 8"),
+], ids=["negative-seed", "3-classes", "8-classes"])
+def test_train_rejects_setting_before_reading_data(tmp_path, capsys, setting, detail):
+    key = setting.split("=")[0]
+    text = "".join(line for line in RunConfig.desk(data_dir=str(tmp_path / "absent")).serialize()
+                   .splitlines(keepends=True) if not line.startswith(key + "="))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text + setting + "\n")
+    code = run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"error code=2 kind=ConfigurationError: {detail}" in capsys.readouterr().err
+
+
+def test_infer_rejects_stored_class_count_before_any_crop(pipeline, tmp_path, capsys, monkeypatch):
+    """A checkpoint trained for 8 classes, whose labels the palette cannot
+    colour, is refused when it is loaded."""
+    header, _ = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    text = header["config_text"].replace("num_classes=6", "num_classes=8")
+    net_cfg = RunConfig.parse(header["config_text"]).network_config()
+    model = Model.build(dataclasses.replace(net_cfg, num_classes=8), seed=0)
+    ckpt = str(tmp_path / "eight.ckpt")
+    checkpoint.save_checkpoint(ckpt, dict(header, config_text=text),
+                               {f"param:{n}": t.data for n, t in model.params.items()})
+
+    def no_crops(*args, **kwargs):
+        raise AssertionError("a crop ran")
+
+    monkeypatch.setattr(inference, "infer_full_raster", no_crops)
+    raw = pipeline["raw"]
+    code = run(["infer", "--ckpt", ckpt, "--image", os.path.join(raw, sorted(os.listdir(raw))[0]),
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error code=3 kind=DataError" in (err := capsys.readouterr().err)
+    assert "num_classes must be 6, got 8" in err

@@ -47,6 +47,16 @@ def test_retired_out_dir_skipped():
     assert "out_dir" not in cfg.serialize()
 
 
+@pytest.mark.parametrize("text, detail", [
+    ("seed=-1\n", "seed must be >= 0, got -1"),
+    ("num_classes=3\n", "num_classes must be 6, got 3"),
+    ("num_classes=8\n", "num_classes must be 6, got 8"),
+], ids=["negative-seed", "3-classes", "8-classes"])
+def test_out_of_range_value_rejected(text, detail):
+    with pytest.raises(ConfigurationError, match=detail):
+        RunConfig.parse(text)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigurationError, match="duplicate"):
         RunConfig.parse("seed=1\nseed=2\n")

@@ -1,5 +1,9 @@
 """Overlap-crop stitching and metrics tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -56,6 +60,24 @@ def test_plan_validation():
         plan_stitch(100, 100, tile=64, stride=48, center=32)  # stride > center
     with pytest.raises(ConfigurationError):
         plan_stitch(100, 100, tile=64, stride=16, center=31)  # uneven margins
+
+
+def test_zero_stride_rejected_without_hanging():
+    # a stride below 1 once appended the same crop origin forever, so the
+    # call runs in a child process that a timeout ends
+    code = ("from orthoseg.inference import plan_stitch\n"
+            "from orthoseg.errors import ConfigurationError\n"
+            "for stride in (0, -4):\n"
+            "    try:\n"
+            "        plan_stitch(10, 10, tile=3, stride=stride, center=1)\n"
+            "    except ConfigurationError as exc:\n"
+            "        assert 'stride' in str(exc), exc\n"
+            "    else:\n"
+            "        raise SystemExit(f'stride {stride} accepted')\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(inference.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=10,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mirror_padding_on_ramp():

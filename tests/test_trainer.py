@@ -1,6 +1,7 @@
 """Trainer tests: Nesterov update oracle, plateau tracker traces, schedule
 transitions, and bit-exact checkpoint resume of a short run."""
 
+import os
 
 import numpy as np
 import pytest
@@ -244,7 +245,9 @@ def test_metrics_and_checkpoints_written(tmp_path):
 
 
 def test_resume_is_bitwise_identical(tmp_path):
-    """10 straight iterations == 5 + checkpoint + resume + 5."""
+    """10 straight iterations == 5 + checkpoint + resume + 5.  The run
+    resumes into its own directory, so it writes over the checkpoint it
+    resumed from, and must then hold no view of that file."""
     cfg = desk_cfg(max_iterations=10, eval_interval=5, checkpoint_interval=5, seed=7)
     samples = synth_samples(3, size=16, seed=4)
     val = synth_samples(1, size=16, seed=9)
@@ -254,13 +257,18 @@ def test_resume_is_bitwise_identical(tmp_path):
 
     model_b = Model.build(cfg.network_config(), seed=cfg.seed)
     trainer.train_loop(cfg, model_b, samples, val, str(tmp_path / "b"), max_iterations=5)
+    latest = os.path.realpath(tmp_path / "b" / "latest.ckpt")
     state_b, header = trainer.state_from_checkpoint(
-        str(tmp_path / "b" / "latest.ckpt"), cfg.network_config(),
-        expected_digest=cfg.digest())
+        latest, cfg.network_config(), expected_digest=cfg.digest())
     assert header["iteration"] == 5
-    state_b = trainer.train_loop(cfg, None, samples, val, str(tmp_path / "b2"),
+    state_b = trainer.train_loop(cfg, None, samples, val, str(tmp_path / "b"),
                                  state=state_b)
 
+    arrays = [t.data for t in state_b.model.params.values()] + list(state_b.velocities.values())
+    assert all(a.base is None for a in arrays)
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            assert not [line for line in f if latest in line and "(deleted)" in line]
     assert state_a.iteration == state_b.iteration == 10
     for name, t in state_a.model.params.items():
         assert np.array_equal(t.data, state_b.model.params[name].data), name
