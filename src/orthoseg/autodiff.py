@@ -104,17 +104,25 @@ def backward(loss):
 # spin for a while waiting for the next call.  A worker saves microseconds
 # on a small product but costs milliseconds whenever another process holds
 # its core, so conv taps under _SMALL_TAP_MACS are split into column blocks
-# that stay on the calling thread.
+# that stay on the calling thread.  Larger taps run in _LARGE_TAP_COLUMNS
+# blocks, so that the per-tap temporary is block-sized, not output-sized.
 _BLAS_SERIAL_MACS = 2**19
 _SMALL_TAP_MACS = 2**22
+_LARGE_TAP_COLUMNS = 4096
+
+
+def _is_large_tap(rows_by_depth, length):
+    return rows_by_depth * length >= _SMALL_TAP_MACS
 
 
 def _column_blocks(rows_by_depth, length):
     """Column ranges for a conv tap's (rows x depth) @ (depth x length)
-    products: one range for a large tap, serial-sized blocks for a small one."""
-    if rows_by_depth * length >= _SMALL_TAP_MACS:
-        return [(0, length)]
-    step = max(1, (_BLAS_SERIAL_MACS - 1) // rows_by_depth)
+    products: _LARGE_TAP_COLUMNS-wide blocks for a large tap, serial-sized
+    blocks for a small one; the first block is the widest."""
+    if _is_large_tap(rows_by_depth, length):
+        step = _LARGE_TAP_COLUMNS
+    else:
+        step = max(1, (_BLAS_SERIAL_MACS - 1) // rows_by_depth)
     return [(c0, min(length, c0 + step)) for c0 in range(0, length, step)]
 
 
@@ -133,6 +141,9 @@ class _Pack:
         self.length = (n - 1) * self.hp * self.wp + self.h * self.wp
         self.taps = [(i, j, i * d * self.wp + j * d) for i in range(kh) for j in range(kw)]
         self.blocks = _column_blocks(co * self.ci, self.length)
+        # a large tap's weight gradient stays one GEMM over all its columns:
+        # summing it block by block would reorder the sum
+        self.gw_blocks = [(0, self.length)] if _is_large_tap(co * self.ci, self.length) else self.blocks
         self.xp = np.zeros((self.ci, n * self.hp * self.wp), dtype=inputs[0].data.dtype)
         rows = 0
         for t in inputs:
@@ -148,9 +159,10 @@ class _Pack:
     def forward(self):
         """The pack's tap sums, an (N, Co, H, W) view of its accumulator."""
         co = self.wt.shape[2]
-        acc, tmp = np.empty((2, co, self.xp.shape[1]), dtype=self.xp.dtype)
+        acc = np.empty((co, self.xp.shape[1]), dtype=self.xp.dtype)
+        tmp = np.empty((co, self.blocks[0][1]), dtype=self.xp.dtype)
         for c0, c1 in self.blocks:
-            a, t = acc[:, c0:c1], tmp[:, c0:c1]
+            a, t = acc[:, c0:c1], tmp[:, : c1 - c0]
             np.matmul(self.wt[0, 0], self.xp[:, c0:c1], out=a)
             for i, j, off in self.taps[1:]:
                 a += np.matmul(self.wt[i, j], self.xp[:, off + c0 : off + c1], out=t)
@@ -168,12 +180,14 @@ class _Pack:
         live = np.repeat([t.requires_grad for t in self.inputs], sizes)
         wsel = self.wt if live.all() else self.wt[..., live]
         gx = np.zeros((wsel.shape[3], gf.shape[1]), dtype=g.dtype) if live.any() else None
-        tmp = np.empty((wsel.shape[3], self.length), dtype=g.dtype)
-        for (i, j, off), (c0, c1) in itertools.product(self.taps, self.blocks):
+        tmp = np.empty((wsel.shape[3], self.blocks[0][1]), dtype=g.dtype)
+        for i, j, off in self.taps:
             if gw is not None:
-                gw[i, j] += gf[:, c0:c1] @ self.xp[:, off + c0 : off + c1].T
+                for c0, c1 in self.gw_blocks:
+                    gw[i, j] += gf[:, c0:c1] @ self.xp[:, off + c0 : off + c1].T
             if gx is not None:
-                gx[:, off + c0 : off + c1] += np.matmul(wsel[i, j].T, gf[:, c0:c1], out=tmp[:, c0:c1])
+                for c0, c1 in self.blocks:
+                    gx[:, off + c0 : off + c1] += np.matmul(wsel[i, j].T, gf[:, c0:c1], out=tmp[:, : c1 - c0])
         gxs, rows = [], 0
         for t, c in zip(self.inputs, sizes):
             gxs.append(self.padded(gx[rows : rows + c]).transpose(1, 0, 2, 3) if t.requires_grad else None)
@@ -200,10 +214,10 @@ def conv2d(x, weights, bias, dilation=1, padding="same"):
     L = (N-1)*Hp*Wp + H*Wp (MEC-style shifted matrices, no im2col copy).
     The spare row keeps every kept output inside its own image's block; the
     other columns are sliced off, and the backward reuses the views with
-    them zero in the gradient.  A small conv runs each tap's GEMMs over
-    column blocks (``_column_blocks``).  Gradients of tensors that do not
-    require one are returned as None; input gradients are computed only for
-    the channel rows of the inputs that require one.
+    them zero in the gradient.  Each tap's GEMMs run over column blocks
+    (``_column_blocks``) with one block-sized temporary.  Gradients of
+    tensors that do not require one are returned as None; input gradients
+    are computed only for the channel rows of the inputs that require one.
     """
     xs = [x] if isinstance(x, Tensor) else list(x)
     if not xs:
@@ -309,6 +323,7 @@ def avg_pool(x, k, stride=1, padding="same"):
         rows = padded[..., 0:h, :].copy()
         for i in range(1, k):
             rows += padded[..., i : i + h, :]
+        del padded  # the row sums are its last reader
         total = rows[..., 0:w].copy()
         for j in range(1, k):
             total += rows[..., j : j + w]
@@ -347,7 +362,9 @@ def elu(x):
     """Exponential linear unit, alpha = 1.  expm1(x) > x below 0, so it is
     the larger of x and expm1(min(x, 0)) (clamped so it cannot overflow),
     and its derivative, 1 above 0 and out + 1 at or below, is min(out + 1, 1)."""
-    out = np.maximum(x.data, np.expm1(np.minimum(x.data, 0)))
+    out = np.minimum(x.data, 0)
+    np.expm1(out, out=out)
+    np.maximum(x.data, out, out=out)
 
     def bwd(g):
         return (g * np.minimum(out + 1, 1),)

@@ -71,6 +71,13 @@ class RunConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes != len(CLASS_NAMES):  # the label palette's classes
             raise ConfigurationError(f"num_classes must be {len(CLASS_NAMES)}, got {self.num_classes}")
+        # half a tile is the net input, which the encoder halves
+        # num_encoder_blocks times; this also gives stitch_geometry() a
+        # stride of at least 1 and even margins.  An exponent past the
+        # tile's bit length rejects it without building a huge power.
+        k, t = self.num_encoder_blocks + 1, self.tile_size
+        if t <= 0 or t % 2 ** min(max(k, 0), t.bit_length()):
+            raise ConfigurationError(f"tile_size must be a positive multiple of 2^{k}, got {t}")
 
     # -- text form --------------------------------------------------------
 

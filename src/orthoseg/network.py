@@ -322,9 +322,11 @@ class Model:
         def refine(prefix, inputs, region, decis):
             """Dilated conv over the channels of ``inputs``, ``region`` noise,
             dilated conv, then a 1x1 decision correction added to ``decis``;
-            returns (features, decisions)."""
-            h1 = ad.elu(conv(inputs, f"{prefix}.conv1", cfg.decoder_dilation))
-            h1 = noise(h1, region)
+            returns (features, decisions).  Empties ``inputs`` once conv1
+            has read it."""
+            h1 = conv(inputs, f"{prefix}.conv1", cfg.decoder_dilation)
+            inputs.clear()
+            h1 = noise(ad.elu(h1), region)
             feats = tap(f"{prefix}.features_out",
                         ad.elu(conv(h1, f"{prefix}.conv2", cfg.decoder_dilation)))
             corr = conv(feats, f"{prefix}.decision")
@@ -370,20 +372,22 @@ class Model:
             f_up = tap(f"decoder.block{j}.features_up", ad.identity(feats))
             if j > 1:
                 f_up = ad.stop_gradient(f_up)
+            # each skip and feed is read once, except feeds[0]: the
+            # residual blocks read it too
+            inputs = [noise(f_up, "decoder"), noise(p_skips.pop(), "decoder"),
+                      noise(a_skips.pop(), "decoder"), feeds[0] if j == e else feeds.pop()]
             d_up = ad.upsample2(decis)
-            feats, decis = refine(f"decoder.block{j}", [
-                noise(f_up, "decoder"), noise(p_skips[e - j], "decoder"),
-                noise(a_skips[e - j], "decoder"), feeds[e - j],
-            ], "decoder", d_up)
+            del feats, decis, f_up  # refine's conv1 is their last reader
+            feats, decis = refine(f"decoder.block{j}", inputs, "decoder", d_up)
 
         decis = ad.scale_const(decis, 1.0 / cfg.output_scale_divisor)
 
         for r in range(1, cfg.num_additional_residual_blocks + 1):
             feats = tap(f"residual.block{r}.features_in", feats)
             f_gated = tap(f"residual.block{r}.features_gated", ad.stop_gradient(feats))
-            feats, decis = refine(f"residual.block{r}",
-                                  [noise(f_gated, "residual"), feeds[0]],
-                                  "residual", decis)
+            inputs = [noise(f_gated, "residual"), feeds[0]]
+            del feats, f_gated  # refine's conv1 is their last reader
+            feats, decis = refine(f"residual.block{r}", inputs, "residual", decis)
 
         # SCCB: fully gated side branch, ungated residual identity
         feats = tap("sccb.features_in", feats)
@@ -392,6 +396,7 @@ class Model:
         f_gated = tap("sccb.features_gated", ad.stop_gradient(feats))
         pooled = ad.avg_pool(ad.concat_channels([d_gated, f_gated]), cfg.sccb_pool_size,
                              stride=1, padding="same")
+        del feats, f_gated  # the pool was their last reader
         branches = []
         for rate, _nf in cfg.sccb_dilations:
             br = ad.elu(conv(pooled, f"sccb.branch_d{rate}", dilation=rate))

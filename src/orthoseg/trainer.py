@@ -119,7 +119,8 @@ def init_state(model, run_cfg):
 
 
 def nesterov_step(params, state):
-    """v <- mu*v - lr*g ; theta <- theta + mu*v - lr*g (practical Nesterov)."""
+    """v <- mu*v - lr*g ; theta <- theta + mu*v - lr*g (practical Nesterov),
+    updating each velocity in place."""
     mu = np.float32(state.momentum)
     lr = np.float32(state.lr)
     for name, t in params.items():
@@ -128,10 +129,12 @@ def nesterov_step(params, state):
         if t.grad is None:
             raise OrthosegError(f"trainable parameter {name} has no gradient")
         v = state.velocities[name]
-        g = t.grad.astype(t.data.dtype, copy=False)
-        v_new = mu * v - lr * g
-        t.data += mu * v_new - lr * g
-        state.velocities[name] = v_new
+        lg = lr * t.grad.astype(t.data.dtype, copy=False)
+        v *= mu
+        v -= lg
+        step = mu * v
+        step -= lg
+        t.data += step
 
 
 def on_plateau(state):

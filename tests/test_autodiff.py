@@ -118,6 +118,17 @@ class TestConv2d:
         for case in cases:
             check_conv_against_oracle(rng, *case)
 
+    def test_large_tap_blocks_match_loop_oracle(self, monkeypatch):
+        # every tap large, in 5-column blocks: several per tap and a ragged last one
+        monkeypatch.setattr(ad, "_SMALL_TAP_MACS", 1)
+        monkeypatch.setattr(ad, "_LARGE_TAP_COLUMNS", 5)
+        assert ad._column_blocks(2 * 3, 12) == [(0, 5), (5, 10), (10, 12)]
+        rng = np.random.default_rng(7)
+        cases = [((2, 3, 6, 7), 3, 2), ((1, 3, 5, 9), 3, 1), ((3, 3, 4, 5), 3, 3), ((3, 3, 4, 5), 1, 1)]
+        for case in cases:
+            check_conv_against_oracle(rng, *case)
+        check_conv_groups_against_oracle(rng, [(2, True, True), (4, False, True)], 2, 3, 2)
+
     def test_column_blocks_cover_each_tap(self):
         for rows_by_depth, length in [(16 * 16, 1088), (32 * 76, 1152), (6 * 22, 16384), (306 * 306, 66048)]:
             blocks = ad._column_blocks(rows_by_depth, length)
@@ -126,7 +137,8 @@ class TestConv2d:
             if rows_by_depth * length < ad._SMALL_TAP_MACS:
                 assert all(rows_by_depth * (c1 - c0) < ad._BLAS_SERIAL_MACS for c0, c1 in blocks)
             else:
-                assert blocks == [(0, length)]
+                assert all(c1 - c0 <= ad._LARGE_TAP_COLUMNS for c0, c1 in blocks)
+        assert len(ad._column_blocks(306 * 306, 66048)) == 17  # 16 full blocks and a ragged one
 
     def test_pruned_gradients_leave_others_bitwise_equal(self):
         rng = np.random.default_rng(3)

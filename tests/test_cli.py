@@ -339,7 +339,11 @@ def test_prepare_rejects_negative_seed(pipeline, tmp_path, capsys):
     ("seed=-1", "seed must be >= 0, got -1"),
     ("num_classes=3", "num_classes must be 6, got 3"),
     ("num_classes=8", "num_classes must be 6, got 8"),
-], ids=["negative-seed", "3-classes", "8-classes"])
+    # the desk's 3 encoder blocks need multiples of 2^4
+    ("tile_size=0", "tile_size must be a positive multiple of 2^4, got 0"),
+    ("tile_size=3", "tile_size must be a positive multiple of 2^4, got 3"),
+    ("tile_size=24", "tile_size must be a positive multiple of 2^4, got 24"),
+], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24"])
 def test_train_rejects_setting_before_reading_data(tmp_path, capsys, setting, detail):
     key = setting.split("=")[0]
     text = "".join(line for line in RunConfig.desk(data_dir=str(tmp_path / "absent")).serialize()
@@ -372,3 +376,25 @@ def test_infer_rejects_stored_class_count_before_any_crop(pipeline, tmp_path, ca
     assert code == 3
     assert "error code=3 kind=DataError" in (err := capsys.readouterr().err)
     assert "num_classes must be 6, got 8" in err
+
+
+@pytest.mark.parametrize("tile", [0, 3, 24])
+def test_infer_rejects_stored_tile_size_before_any_crop(pipeline, tmp_path, capsys, monkeypatch, tile):
+    """A checkpoint whose stored tile size gives no usable crop geometry
+    is refused when it is loaded."""
+    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    ckpt = str(tmp_path / "tile.ckpt")
+    checkpoint.save_checkpoint(
+        ckpt, dict(header, config_text=header["config_text"].replace("tile_size=32", f"tile_size={tile}")),
+        tensors)
+
+    def no_crops(*args, **kwargs):
+        raise AssertionError("a crop ran")
+
+    monkeypatch.setattr(inference, "infer_full_raster", no_crops)
+    raw = pipeline["raw"]
+    code = run(["infer", "--ckpt", ckpt, "--image", os.path.join(raw, sorted(os.listdir(raw))[0]),
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "error code=3 kind=DataError" in (err := capsys.readouterr().err)
+    assert f"tile_size must be a positive multiple of 2^4, got {tile}" in err

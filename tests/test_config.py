@@ -51,10 +51,23 @@ def test_retired_out_dir_skipped():
     ("seed=-1\n", "seed must be >= 0, got -1"),
     ("num_classes=3\n", "num_classes must be 6, got 3"),
     ("num_classes=8\n", "num_classes must be 6, got 8"),
-], ids=["negative-seed", "3-classes", "8-classes"])
+    # the paper's 7 encoder blocks need multiples of 2^8
+    ("tile_size=0\n", "tile_size must be a positive multiple of 2\\^8, got 0"),
+    ("tile_size=3\n", "tile_size must be a positive multiple of 2\\^8, got 3"),
+    ("tile_size=24\n", "tile_size must be a positive multiple of 2\\^8, got 24"),
+], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24"])
 def test_out_of_range_value_rejected(text, detail):
     with pytest.raises(ConfigurationError, match=detail):
         RunConfig.parse(text)
+
+
+def test_usable_tile_sizes_accepted():
+    for tile in (32, 64, 256, 1024):
+        assert RunConfig.desk(tile_size=tile).tile_size == tile
+    for tile in (256, 1024):
+        assert RunConfig(tile_size=tile).tile_size == tile
+    with pytest.raises(ConfigurationError, match="multiple of 2\\^1000000000000000000001, got 1024"):
+        RunConfig(num_encoder_blocks=10**21)
 
 
 def test_duplicate_key_rejected():

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,33 @@ class TestForward:
         m.forward(p, a, taps=taps)
         up = np.repeat(np.repeat(taps["decoder.block2.decisions_in"].data, 2, axis=2), 2, axis=3)
         np.testing.assert_array_equal(taps["decoder.block2.decisions_out"].data, up)
+
+
+def test_refine_inputs_die_before_conv2(monkeypatch):
+    """Every input of a refine block's conv1 is freed by the time its
+    conv2 runs, except the full-resolution raw-input feed, feeds[0], which
+    the last decoder block and the residual blocks share."""
+    m = Model.build(NetworkConfig.desk(), 0)
+    e, residual = m.config.num_encoder_blocks, m.config.num_additional_residual_blocks
+    prefixes = [f"decoder.block{j}" for j in range(1, e + 1)]
+    prefixes += [f"residual.block{r}" for r in range(1, residual + 1)]
+    weights = {id(m.params[f"{prefix}.{conv}.weight"]): (prefix, conv)
+               for prefix in prefixes for conv in ("conv1", "conv2")}
+    refs, alive = {}, {}
+    conv2d = ad.conv2d
+
+    def spy(x, w, *args, **kwargs):
+        prefix, conv = weights.get(id(w), (None, None))
+        if conv == "conv1":
+            refs[prefix] = [weakref.ref(t.data) for t in x]
+        elif conv == "conv2":
+            alive[prefix] = [i for i, r in enumerate(refs[prefix]) if r() is not None]
+        return conv2d(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "conv2d", spy)
+    m.forward(*rand_inputs(43))
+    feed0 = {f"decoder.block{e}": [3], **{f"residual.block{r}": [1] for r in range(1, residual + 1)}}
+    assert alive == {prefix: feed0.get(prefix, []) for prefix in prefixes}
 
 
 class TestWindow:

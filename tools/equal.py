@@ -15,6 +15,7 @@ in its tensor.  Exits 1 when a probe differs.  Takes about a minute on
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import os
@@ -151,6 +152,19 @@ def report(theirs, ours, rev):
     return differs
 
 
+@contextlib.contextmanager
+def worktree(rev):
+    """A temporary detached ``git worktree`` of ``rev``; yields its path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "tree")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet", tree, rev],
+                       check=True)
+        try:
+            yield tree
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
+
+
 def _run_tree(src, path):
     """Run the probes in a separate process importing orthoseg from ``src``."""
     env = {**os.environ, "PYTHONPATH": src}
@@ -173,13 +187,8 @@ def main(argv):
                 size = sum(a.size for a in arrays.values())
                 print(f"{name}: {size} elements in {len(arrays)} tensor(s), finite {finite}")
             return 0
-        tree = os.path.join(tmp, "tree")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet", tree, argv[0]],
-                       check=True)
-        try:
+        with worktree(argv[0]) as tree:
             theirs = _run_tree(os.path.join(tree, "src"), os.path.join(tmp, "theirs.npz"))
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
     return 1 if report(theirs, ours, argv[0]) else 0
 
 
