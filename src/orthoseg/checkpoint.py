@@ -6,18 +6,16 @@ Layout (all integers little-endian):
 Each record: u16 name length + UTF-8 name | u8 dtype code (1 = f32,
 2 = f64) | u8 rank | u32 extents | zero padding | raw little-endian payload.
 The padding (0 to 63 zero bytes) starts every payload at a multiple of 64
-bytes from the start of the file. Version 1 files, which have no padding,
-still load.
+bytes from the start of the file. Only version 2 loads.
 
-``load_checkpoint`` maps the file copy-on-write and returns each version 2
-payload as a view of the mapping. A page is read from disk only when it is
-first touched, so a caller that uses only the parameters never reads the
+``load_checkpoint`` maps the file copy-on-write and returns each payload as
+a view of the mapping. A page is read from disk only when it is first
+touched, so a caller that uses only the parameters never reads the
 velocities, and a write to a loaded array goes to a private page of this
-process, never to the file. Version 1 payloads, which are unaligned, are
-read into arrays of their own instead, without touching the mapping. The writer
-renames a new file over the old one, so arrays loaded before a save keep
-their values; a loaded file must never be truncated or rewritten in place,
-which would end in SIGBUS rather than ``DataError``.
+process, never to the file. The writer renames a new file over the old one,
+so arrays loaded before a save keep their values; a loaded file must never
+be truncated or rewritten in place, which would end in SIGBUS rather than
+``DataError``.
 
 The header carries the run-config digest (sha256 of its canonical
 serialization), schedule state and RNG state, making save -> load -> save
@@ -28,18 +26,17 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
-import mmap
 import os
 import struct
 
 import numpy as np
 
+from .data import MappedFile
 from .errors import ConfigurationError, DataError
 
 MAGIC = b"OSCK"
 FORMAT_VERSION = 2
-_ALIGN = 64  # payload alignment from version 2 on
+_ALIGN = 64  # payload alignment
 
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
@@ -88,74 +85,44 @@ def save_checkpoint(path, header, tensors):
 def load_checkpoint(path):
     """Returns (header dict, ordered name -> array dict).
 
-    The file is mapped once, copy-on-write, and the header and record table
-    are parsed from the mapping with every extent checked against the file
-    size, so a truncated or malformed file raises ``DataError`` before any
-    payload is touched. Version 2 payloads are writable views of the
-    mapping; version 1 payloads are read into arrays of their own."""
-    with open(path, "rb") as f:
+    The header and record table are parsed from one ``data.MappedFile``,
+    with every extent checked against the file size, so a truncated or
+    malformed file raises ``DataError`` before any payload is touched. The
+    payloads are writable views of the mapping."""
+    f = MappedFile(path)
+    if f.unpack("4s", "magic")[0] != MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    (version,) = f.unpack("<I", "format version")
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported format version {version}")
+    (hlen,) = f.unpack("<I", "header length")
+    try:
+        header = json.loads(f.bytes(hlen, "header").decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
+    (count,) = f.unpack("<I", "tensor count")
+    tensors = {}
+    for _ in range(count):
+        (nlen,) = f.unpack("<H", "record")
         try:
-            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
-        except ValueError:  # an empty file cannot be mapped
-            buf = b""
-        pos = 0
-
-        def take(n, what):
-            """Offset of the next ``n`` bytes, which must lie inside the file."""
-            nonlocal pos
-            if n > len(buf) - pos:
-                raise DataError(f"{path}: truncated {what}")
-            pos += n
-            return pos - n
-
-        def unpack(fmt, what):
-            return struct.unpack_from(fmt, buf, take(struct.calcsize(fmt), what))
-
-        if unpack("4s", "magic")[0] != MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        (version,) = unpack("<I", "format version")
-        if version not in (1, FORMAT_VERSION):
-            raise DataError(f"{path}: unsupported format version {version}")
-        (hlen,) = unpack("<I", "header length")
-        start = take(hlen, "header")
-        try:
-            header = json.loads(buf[start:pos].decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise DataError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise DataError(f"{path}: header is not a JSON object")
-        (count,) = unpack("<I", "tensor count")
-        tensors = {}
-        for _ in range(count):
-            (nlen,) = unpack("<H", "record")
-            start = take(nlen, "record")
-            try:
-                name = buf[start:pos].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: tensor name is not UTF-8") from exc
-            code, rank = unpack("BB", f"record {name}")
-            if code not in _DTYPES:
-                raise DataError(f"{path}: unknown dtype code {code} for {name}")
-            if rank > _MAX_RANK:
-                raise DataError(f"{path}: rank {rank} of {name} exceeds {_MAX_RANK}")
-            if name in tensors:
-                raise DataError(f"{path}: duplicate tensor name {name}")
-            shape = unpack(f"<{rank}I", f"record {name}")
-            if version > 1:
-                start = take(-pos % _ALIGN, f"padding for {name}")
-                if buf[start:pos].count(0) != pos - start:
-                    raise DataError(f"{path}: non-zero padding before {name}")
-            dt, size = _DTYPES[code], math.prod(shape)
-            start = take(size * dt.itemsize, f"payload for {name}")
-            try:
-                arr = np.frombuffer(buf, dt, size, start).reshape(shape)
-            except ValueError as exc:  # zero-size, yet too many elements to index
-                raise DataError(f"{path}: unsupported extents {shape} for {name}") from exc
-            if version == 1:  # unaligned: read into an array of its own, not the mapping
-                f.seek(start)
-                f.readinto(arr := np.empty_like(arr))
-            tensors[name] = arr
-        return header, tensors
+            name = f.bytes(nlen, "record").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: tensor name is not UTF-8") from exc
+        code, rank = f.unpack("BB", f"record {name}")
+        if code not in _DTYPES:
+            raise DataError(f"{path}: unknown dtype code {code} for {name}")
+        if rank > _MAX_RANK:
+            raise DataError(f"{path}: rank {rank} of {name} exceeds {_MAX_RANK}")
+        if name in tensors:
+            raise DataError(f"{path}: duplicate tensor name {name}")
+        shape = f.unpack(f"<{rank}I", f"record {name}")
+        padding = f.bytes(-f.pos % _ALIGN, f"padding for {name}")
+        if padding.count(0) != len(padding):
+            raise DataError(f"{path}: non-zero padding before {name}")
+        tensors[name] = f.array(_DTYPES[code], shape, f"payload for {name}")
+    return header, tensors
 
 
 def check_digest(header, expected_digest, override=False):

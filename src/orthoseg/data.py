@@ -10,6 +10,8 @@ images are binary 8-bit PPM (see read_ppm/write_ppm).
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -95,46 +97,77 @@ def write_mcr(path, raster):
             f.write(np.ascontiguousarray(raster.channels[role], dtype=dt))
 
 
-def _exact_reader(f):
-    """``read(n, what)``: the next ``n`` bytes of ``f``.  ``n`` is checked
-    against the bytes left before anything is allocated or read, so a bogus
-    size costs nothing; a short file raises ``DataError`` naming ``what``."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
+class MappedFile:
+    """A file mapped copy-on-write and parsed front to back.  Every extent is
+    checked against the bytes left before anything is read or allocated; a
+    short file raises ``DataError`` "truncated <what>".  ``array`` returns
+    writable views of the mapping, which keep it open; ``with`` closes it."""
 
-    def read(n, what):
-        nonlocal left
-        if n > left:
-            raise DataError(f"{f.name}: truncated {what}")
-        if len(buf := f.read(n)) != n:
-            raise DataError(f"{f.name}: truncated {what}")
-        left -= n
-        return buf
-    return read
+    def __init__(self, path):
+        self.path, self.pos = path, 0
+        with open(path, "rb") as f:
+            try:
+                self.buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+            except ValueError:  # an empty file cannot be mapped
+                self.buf = b""
+        self.size = len(self.buf)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if isinstance(self.buf, mmap.mmap):
+            self.buf.close()
+
+    def take(self, n, what):
+        """Offset of the next ``n`` bytes, which must lie inside the file."""
+        if self.pos + n > self.size:
+            raise DataError(f"{self.path}: truncated {what}")
+        self.pos += n
+        return self.pos - n
+
+    def bytes(self, n, what):
+        start = self.take(n, what)
+        return self.buf[start:self.pos]
+
+    def unpack(self, fmt, what):
+        return struct.unpack_from(fmt, self.buf, self.take(struct.calcsize(fmt), what))
+
+    def line(self):
+        """The bytes up to and including the next newline, or to the end of
+        the file; empty at the end."""
+        end = self.buf.find(b"\n", self.pos) + 1 or self.size
+        return self.bytes(end - self.pos, "line")
+
+    def array(self, dtype, shape, what):
+        """The next ``shape`` elements of ``dtype``, as a view of the mapping."""
+        count = math.prod(shape)
+        start = self.take(count * dtype.itemsize, what)
+        try:
+            return np.frombuffer(self.buf, dtype, count, start).reshape(shape)
+        except ValueError as exc:  # zero-size, yet too many elements to index
+            raise DataError(f"{self.path}: {what} has unsupported extents {shape}") from exc
 
 
 def read_mcr(path, raster_id=None):
-    with open(path, "rb") as f:
-        magic = f.read(4)
+    with MappedFile(path) as f:
+        (magic,) = f.unpack("4s", "magic")
         if magic != b"MCR1":
             raise DataError(f"{path}: bad magic {magic!r}")
-        read = _exact_reader(f)
-        nch, h, w = struct.unpack("<III", read(12, "header"))
+        nch, h, w = f.unpack("<III", "header")
         descs = []
         for _ in range(nch):
-            raw = read(17, "channel descriptor")
+            raw, code = f.unpack("16sB", "channel descriptor")
             try:
-                name = raw[:16].rstrip(b"\0").decode("ascii")
+                name = raw.rstrip(b"\0").decode("ascii")
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: channel name is not ASCII") from exc
-            code = raw[16]
             if code not in _DTYPE_CODES:
                 raise DataError(f"{path}: unknown dtype code {code}")
             descs.append((name, _DTYPE_CODES[code]))
         channels = {}
-        for name, dt in descs:
-            buf = read(h * w * dt.itemsize, f"plane {name}")
-            arr = np.frombuffer(buf, dtype=dt).reshape(h, w)
-            channels[name] = arr.astype(np.uint8) if dt == np.dtype("u1") else arr.astype(np.float32)
+        for name, dt in descs:  # native-order copies: no view keeps the mapping open
+            channels[name] = f.array(dt, (h, w), f"plane {name}").astype(dt.newbyteorder("="))
     return Raster(channels=channels, raster_id=raster_id or str(path))
 
 
@@ -146,9 +179,9 @@ def read_ppm(path):
     """(h, w, 3) uint8 pixels of a binary PPM.  The header is four
     whitespace-separated fields (P6, width, height, maxval) that may share
     lines; ``#`` starts a comment that runs to the end of its line."""
-    with open(path, "rb") as f:
+    with MappedFile(path) as f:
         fields = []
-        while len(fields) < 4 and (line := f.readline()):
+        while len(fields) < 4 and (line := f.line()):
             fields += line.split(b"#", 1)[0].split()
         if fields[:1] != [b"P6"]:
             raise DataError(f"{path}: expected P6, got {fields[:1]!r}")
@@ -162,8 +195,7 @@ def read_ppm(path):
             raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 0 or h < 0:
             raise DataError(f"{path}: negative extent {w}x{h}")
-        buf = _exact_reader(f)(w * h * 3, "pixel data")
-        return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3).copy()
+        return f.array(np.dtype("u1"), (h, w, 3), "pixel data").copy()
 
 
 def write_ppm(path, rgb):

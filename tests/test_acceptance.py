@@ -9,6 +9,7 @@ normalization formulas, overlap-crop stitching, metrics, and persistence.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,7 +423,7 @@ def test_criterion_10_persistence(tmp_path):
     # save -> load -> save bytewise stability
     path2 = str(tmp_path / "w2.ckpt")
     trainer.state_to_checkpoint(path2, loaded, cfg.digest())
-    bytes_ok = open(path, "rb").read() == open(path2, "rb").read()
+    bytes_ok = Path(path).read_bytes() == Path(path2).read_bytes()
 
     # resumed training matches uninterrupted training bitwise for 10 iterations
     m_a = Model.build(cfg.network_config(), seed=42)

@@ -1,5 +1,5 @@
 """Checkpoint container tests: byte layout, round trips, bounded loads,
-copy-on-write loads, version 1 files and digest gating."""
+copy-on-write loads, rejected versions and digest gating."""
 
 import hashlib
 import os
@@ -85,10 +85,13 @@ def test_every_truncation_raises_data_error(tmp_path):
             ckpt.load_checkpoint(path)
 
 
-def raw_checkpoint(header_blob, records=b"", count=0, version=1):
-    """Container bytes around an arbitrary header blob and record bytes."""
-    return (b"OSCK" + struct.pack("<II", version, len(header_blob)) + header_blob
-            + struct.pack("<I", count) + records)
+def raw_checkpoint(header_blob, records=b"", count=0, version=2):
+    """Container bytes around an arbitrary header blob and record bytes,
+    zero-padded to a multiple of 64 bytes, as before a payload that follows
+    the records."""
+    raw = (b"OSCK" + struct.pack("<II", version, len(header_blob)) + header_blob
+           + struct.pack("<I", count) + records)
+    return raw + bytes(-len(raw) % 64)
 
 
 @pytest.mark.parametrize("blob,records,count,match", [
@@ -119,7 +122,7 @@ def test_oversized_extent_rejected_before_allocating(tmp_path):
     path = tmp_path / "huge.ckpt"
     record = struct.pack("<H", 1) + b"w" + struct.pack("<BBII", 1, 2, 60000, 60000)
     path.write_bytes(raw_checkpoint(b"{}", record, 1))
-    assert path.stat().st_size == 31
+    assert path.stat().st_size == 64
     tracemalloc.start()
     try:
         with pytest.raises(DataError, match="truncated payload"):
@@ -236,29 +239,13 @@ def test_save_over_loaded_path_keeps_loaded_values(tmp_path):
     assert np.array_equal(fresh["stats"], sample_tensors()["stats"] + 1.0)
 
 
-def test_version_1_file_loads_bit_equal(tmp_path, v1_checkpoint):
-    path = tmp_path / "v1.ckpt"
-    tensors = dict(sample_tensors(), empty=np.zeros((0, 3), dtype=np.float32))
-    path.write_bytes(v1_checkpoint({"iteration": 4}, tensors))
-    header, loaded = ckpt.load_checkpoint(str(path))
-    assert header == {"iteration": 4}
-    assert list(loaded) == list(tensors)
-    for name, arr in tensors.items():
-        assert loaded[name].dtype == arr.dtype
-        assert loaded[name].tobytes() == arr.tobytes()
-        assert loaded[name].flags.owndata and loaded[name].flags.aligned, name
-    # re-saving writes version 2 with the same tensors
-    ckpt.save_checkpoint(str(tmp_path / "v2.ckpt"), header, loaded)
-    _, resaved = ckpt.load_checkpoint(str(tmp_path / "v2.ckpt"))
-    for name, arr in tensors.items():
-        assert resaved[name].tobytes() == arr.tobytes()
-
-
 def test_unknown_version_rejected(tmp_path):
-    path = tmp_path / "v3.ckpt"
-    path.write_bytes(raw_checkpoint(b"{}", version=3))
-    with pytest.raises(DataError, match="unsupported format version 3"):
-        ckpt.load_checkpoint(str(path))
+    # version 1, whose payloads were not padded, no longer loads either
+    for version in (1, 3):
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(raw_checkpoint(b"{}", version=version))
+        with pytest.raises(DataError, match=f"unsupported format version {version}"):
+            ckpt.load_checkpoint(str(path))
 
 
 def test_empty_file_rejected(tmp_path):

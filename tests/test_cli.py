@@ -210,6 +210,18 @@ def test_truncated_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
     assert "error code=3 kind=DataError" in capsys.readouterr().err
 
 
+def test_version_1_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
+    raw = bytearray(Path(pipeline["runout"], "final.ckpt").read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")  # the format version field
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    code = run(["infer", "--ckpt", str(ckpt), "--image", "/nonexistent.mcr",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "kind=DataError" in (err := capsys.readouterr().err)
+    assert "unsupported format version 1" in err
+
+
 def test_params_only_checkpoint_infers_but_cannot_resume(pipeline, tmp_path, capsys):
     full = os.path.join(pipeline["runout"], "final.ckpt")
     header, tensors = checkpoint.load_checkpoint(full)

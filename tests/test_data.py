@@ -333,12 +333,27 @@ class TestPnm:
         (b"\nabc 4\n255\n", "non-numeric"),
         (b"\n-1 -1\n255\n\0\0\0", "negative extent"),
         (b"\n60000 60000\n255\n", "truncated pixel data"),
-    ], ids=["empty", "non-numeric", "negative", "oversized"])
+        (b"\n0 99999999999999999999\n255\n", "unsupported extents"),
+    ], ids=["empty", "non-numeric", "negative", "oversized", "zero-by-huge"])
     def test_malformed_rejected(self, tmp_path, read, magic, body, match):
         path = tmp_path / "bad.pnm"
         path.write_bytes(magic + body if body else b"")
         with pytest.raises(DataError, match=match):
             read(path)
+
+
+def test_read_arrays_are_writable_copies(tmp_path):
+    """MCR planes and PPM pixels own their data: writing to them leaves the
+    files unchanged, and no view keeps a file's mapping open."""
+    raster = make_raster(4, 5, seed=18)
+    mcr, ppm = tmp_path / "r.mcr", tmp_path / "r.ppm"
+    data.write_mcr(mcr, raster)
+    data.write_ppm(ppm, data.colorize(raster.channels["LABEL"]))
+    before = {path: path.read_bytes() for path in (mcr, ppm)}
+    for a in [*data.read_mcr(mcr).channels.values(), data.read_ppm(ppm)]:
+        assert a.flags.owndata and a.flags.writeable
+        a += 1
+    assert {path: path.read_bytes() for path in (mcr, ppm)} == before
 
 
 class TestSynth:

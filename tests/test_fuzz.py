@@ -19,7 +19,7 @@ from orthoseg.network import Model
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
-def valid_files(root, v1_checkpoint):
+def valid_files(root):
     """id -> (reader, bytes of one small well-formed file it accepts)."""
     rng = np.random.default_rng(0)
     optical = {r: rng.integers(0, 256, (3, 4)).astype(np.uint8) for r in data.OPTICAL_ROLES}
@@ -32,17 +32,16 @@ def valid_files(root, v1_checkpoint):
     checkpoint.save_checkpoint(str(root / "v.ckpt"), header, tensors)
     return {"mcr": (data.read_mcr, (root / "v.mcr").read_bytes()),
             "ppm": (data.read_ppm, (root / "v.ppm").read_bytes()),
-            "checkpoint": (checkpoint.load_checkpoint, (root / "v.ckpt").read_bytes()),
-            "checkpoint-v1": (checkpoint.load_checkpoint, v1_checkpoint(header, tensors))}
+            "checkpoint": (checkpoint.load_checkpoint, (root / "v.ckpt").read_bytes())}
 
 
-IDS = ["mcr", "ppm", "checkpoint", "checkpoint-v1"]
+IDS = ["mcr", "ppm", "checkpoint"]
 
 
 @pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory, v1_checkpoint):
+def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    return root, valid_files(root, v1_checkpoint)
+    return root, valid_files(root)
 
 
 def read_only_typed_errors(reader, path, raw):

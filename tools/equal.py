@@ -91,7 +91,21 @@ def probe_paper(work):
     return out
 
 
-PROBES = (probe_desk, probe_training, probe_paper)
+def probe_io(work):
+    """A seeded desk synth raster written with ``write_mcr`` and its
+    colorized labels with ``write_ppm``, then read back: every plane under
+    ``io_roundtrip/<role>`` and the pixels under ``io_roundtrip/pixels``."""
+    from orthoseg import data
+
+    raster = data.synth_dataset(1, 96, seed=9)[0]
+    mcr, ppm = os.path.join(work, "io.mcr"), os.path.join(work, "io.ppm")
+    data.write_mcr(mcr, raster)
+    data.write_ppm(ppm, data.colorize(raster.channels["LABEL"]))
+    return {**{f"io_roundtrip/{role}": a for role, a in data.read_mcr(mcr).channels.items()},
+            "io_roundtrip/pixels": data.read_ppm(ppm)}
+
+
+PROBES = (probe_desk, probe_training, probe_paper, probe_io)
 
 
 def run_probes(work):
