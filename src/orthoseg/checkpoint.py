@@ -12,10 +12,9 @@ bytes from the start of the file. Only version 2 loads.
 a view of the mapping. A page is read from disk only when it is first
 touched, so a caller that uses only the parameters never reads the
 velocities, and a write to a loaded array goes to a private page of this
-process, never to the file. The writer renames a new file over the old one,
-so arrays loaded before a save keep their values; a loaded file must never
-be truncated or rewritten in place, which would end in SIGBUS rather than
-``DataError``.
+process, never to the file. ``save_checkpoint`` writes through
+``data.replace_file``, so arrays loaded before a save keep their values;
+only another program rewriting the file in place could cause SIGBUS.
 
 The header carries the run-config digest (sha256 of its canonical
 serialization), schedule state and RNG state, making save -> load -> save
@@ -24,14 +23,12 @@ bytewise stable and training resume bit-exact.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import struct
 
 import numpy as np
 
-from .data import MappedFile
+from .data import MappedFile, replace_file
 from .errors import ConfigurationError, DataError
 
 MAGIC = b"OSCK"
@@ -46,40 +43,25 @@ _MAX_RANK = 32  # the most dimensions any numpy version allocates
 def save_checkpoint(path, header, tensors):
     """``header``: JSON-serializable dict; ``tensors``: name -> float array.
 
-    Writes ``path + ".tmp"``, syncs it to disk, renames it over ``path`` and
-    syncs the directory, so a failed or killed write leaves any previous
-    checkpoint intact and a finished one survives a crash."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", FORMAT_VERSION))
-            blob = json.dumps(header, sort_keys=True).encode("utf-8")
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<I", len(tensors)))
-            for name, arr in tensors.items():
-                arr = np.asarray(arr)
-                dt = np.dtype("<f8") if arr.dtype == np.float64 else np.dtype("<f4")
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("BB", _CODES[dt], arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(bytes(-f.tell() % _ALIGN))
-                f.write(np.ascontiguousarray(arr, dtype=dt))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:  # makes the rename itself durable
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    Writes through ``data.replace_file``, so a failed or killed write leaves
+    any previous checkpoint intact and a finished one survives a crash."""
+    with replace_file(path) as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", FORMAT_VERSION))
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        f.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            arr = np.asarray(arr)
+            dt = np.dtype("<f8") if arr.dtype == np.float64 else np.dtype("<f4")
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("BB", _CODES[dt], arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(bytes(-f.tell() % _ALIGN))
+            f.write(np.ascontiguousarray(arr, dtype=dt))
 
 
 def load_checkpoint(path):

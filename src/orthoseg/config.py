@@ -2,11 +2,9 @@
 
 Every training hyperparameter has a key whose default is the benchmark
 value; parsing then re-serializing is canonical (sorted keys).  Unknown
-keys are rejected; a retired key (``out_dir``), which older checkpoints
-still hold in their config text, is skipped.  These defaults and
-``RunConfig.desk()`` are the only copy of the presets:
-``NetworkConfig.benchmark()``/``desk()`` and ``NoiseRates.default()`` are
-derived from them.
+keys are rejected.  These defaults and ``RunConfig.desk()`` are the only
+copy of the presets: ``NetworkConfig.benchmark()``/``desk()`` and
+``NoiseRates.default()`` are derived from them.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
-from .data import CLASS_NAMES
+from .data import CLASS_NAMES, replace_file
 from .errors import ConfigurationError
 from .network import NetworkConfig, NoiseRates
 
@@ -22,9 +20,6 @@ from .network import NetworkConfig, NoiseRates
 def _rate_width(part):  # "rate:width" -> (rate, width)
     rate, _, width = part.partition(":")
     return int(rate), int(width)
-
-
-_RETIRED_KEYS = ("out_dir",)
 
 
 @dataclass
@@ -78,6 +73,11 @@ class RunConfig:
         k, t = self.num_encoder_blocks + 1, self.tile_size
         if t <= 0 or t % 2 ** min(max(k, 0), t.bit_length()):
             raise ConfigurationError(f"tile_size must be a positive multiple of 2^{k}, got {t}")
+        for key, value in vars(self).items():
+            if key.endswith("_interval") and value < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {value}")
+            if key.startswith("noiserate_") and not 0 <= value < 1:
+                raise ConfigurationError(f"{key} must be in [0, 1), got {value}")
 
     # -- text form --------------------------------------------------------
 
@@ -97,8 +97,6 @@ class RunConfig:
                 raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _RETIRED_KEYS:
-                continue
             if key not in types:
                 raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
             if key in values:
@@ -115,8 +113,8 @@ class RunConfig:
             return cls.parse(f.read())
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.serialize())
+        with replace_file(path) as f:
+            f.write(self.serialize().encode("utf-8"))
 
     def digest(self):
         """sha256 of the canonical serialization."""

@@ -9,6 +9,7 @@ images are binary 8-bit PPM (see read_ppm/write_ppm).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
@@ -81,8 +82,32 @@ _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("u1")}
 _CODE_FOR = {np.dtype("<f4"): 1, np.dtype("u1"): 2}
 
 
+@contextlib.contextmanager
+def replace_file(path):
+    """Yields a binary file on ``<path>.tmp``, which on exit is synced and
+    renamed over ``path`` (then the directory is synced), or removed on an
+    exception.  A failed or killed write leaves the previous file intact, a
+    finished one survives a crash, and views of the old file keep their values."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:  # makes the rename itself durable
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_mcr(path, raster):
-    with open(path, "wb") as f:
+    with replace_file(path) as f:
         f.write(b"MCR1")
         f.write(struct.pack("<III", len(raster.channels), raster.height, raster.width))
         dtypes = {role: np.dtype("u1") if plane.dtype == np.uint8 else np.dtype("<f4")
@@ -101,7 +126,7 @@ class MappedFile:
     """A file mapped copy-on-write and parsed front to back.  Every extent is
     checked against the bytes left before anything is read or allocated; a
     short file raises ``DataError`` "truncated <what>".  ``array`` returns
-    writable views of the mapping, which keep it open; ``with`` closes it."""
+    writable views of the mapping, which keep it open."""
 
     def __init__(self, path):
         self.path, self.pos = path, 0
@@ -111,13 +136,6 @@ class MappedFile:
             except ValueError:  # an empty file cannot be mapped
                 self.buf = b""
         self.size = len(self.buf)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if isinstance(self.buf, mmap.mmap):
-            self.buf.close()
 
     def take(self, n, what):
         """Offset of the next ``n`` bytes, which must lie inside the file."""
@@ -150,24 +168,23 @@ class MappedFile:
 
 
 def read_mcr(path, raster_id=None):
-    with MappedFile(path) as f:
-        (magic,) = f.unpack("4s", "magic")
-        if magic != b"MCR1":
-            raise DataError(f"{path}: bad magic {magic!r}")
-        nch, h, w = f.unpack("<III", "header")
-        descs = []
-        for _ in range(nch):
-            raw, code = f.unpack("16sB", "channel descriptor")
-            try:
-                name = raw.rstrip(b"\0").decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: channel name is not ASCII") from exc
-            if code not in _DTYPE_CODES:
-                raise DataError(f"{path}: unknown dtype code {code}")
-            descs.append((name, _DTYPE_CODES[code]))
-        channels = {}
-        for name, dt in descs:  # native-order copies: no view keeps the mapping open
-            channels[name] = f.array(dt, (h, w), f"plane {name}").astype(dt.newbyteorder("="))
+    """The raster in ``path``; its planes are views of the mapped file."""
+    f = MappedFile(path)
+    (magic,) = f.unpack("4s", "magic")
+    if magic != b"MCR1":
+        raise DataError(f"{path}: bad magic {magic!r}")
+    nch, h, w = f.unpack("<III", "header")
+    descs = []
+    for _ in range(nch):
+        raw, code = f.unpack("16sB", "channel descriptor")
+        try:
+            name = raw.rstrip(b"\0").decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: channel name is not ASCII") from exc
+        if code not in _DTYPE_CODES:
+            raise DataError(f"{path}: unknown dtype code {code}")
+        descs.append((name, _DTYPE_CODES[code]))
+    channels = {name: f.array(dt, (h, w), f"plane {name}") for name, dt in descs}
     return Raster(channels=channels, raster_id=raster_id or str(path))
 
 
@@ -176,31 +193,31 @@ def read_mcr(path, raster_id=None):
 
 
 def read_ppm(path):
-    """(h, w, 3) uint8 pixels of a binary PPM.  The header is four
-    whitespace-separated fields (P6, width, height, maxval) that may share
-    lines; ``#`` starts a comment that runs to the end of its line."""
-    with MappedFile(path) as f:
-        fields = []
-        while len(fields) < 4 and (line := f.line()):
-            fields += line.split(b"#", 1)[0].split()
-        if fields[:1] != [b"P6"]:
-            raise DataError(f"{path}: expected P6, got {fields[:1]!r}")
-        if len(fields) != 4:
-            raise DataError(f"{path}: PPM header has {len(fields)} fields, not 4")
-        try:
-            w, h, maxval = (int(v) for v in fields[1:])
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric PPM header field in {fields[1:]!r}") from exc
-        if maxval != 255:
-            raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
-        if w < 0 or h < 0:
-            raise DataError(f"{path}: negative extent {w}x{h}")
-        return f.array(np.dtype("u1"), (h, w, 3), "pixel data").copy()
+    """(h, w, 3) uint8 pixels of a binary PPM, a view of the mapped file.  The
+    header is four whitespace-separated fields (P6, width, height, maxval)
+    that may share lines; ``#`` starts a comment that runs to its line's end."""
+    f = MappedFile(path)
+    fields = []
+    while len(fields) < 4 and (line := f.line()):
+        fields += line.split(b"#", 1)[0].split()
+    if fields[:1] != [b"P6"]:
+        raise DataError(f"{path}: expected P6, got {fields[:1]!r}")
+    if len(fields) != 4:
+        raise DataError(f"{path}: PPM header has {len(fields)} fields, not 4")
+    try:
+        w, h, maxval = (int(v) for v in fields[1:])
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric PPM header field in {fields[1:]!r}") from exc
+    if maxval != 255:
+        raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
+    if w < 0 or h < 0:
+        raise DataError(f"{path}: negative extent {w}x{h}")
+    return f.array(np.dtype("u1"), (h, w, 3), "pixel data")
 
 
 def write_ppm(path, rgb):
     h, w = rgb.shape[:2]
-    with open(path, "wb") as f:
+    with replace_file(path) as f:
         f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(np.ascontiguousarray(rgb, dtype=np.uint8))
 

@@ -294,9 +294,6 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     ``out_dir/metrics.csv``; checkpoints on every new validation best and
     every ``checkpoint_interval`` iterations.
     """
-    for key in ("eval_interval", "checkpoint_interval"):
-        if getattr(run_cfg, key) < 1:
-            raise ConfigurationError(f"{key} must be >= 1, got {getattr(run_cfg, key)}")
     if not train_samples:
         raise DataError("empty training set")
     if not val_samples:
@@ -327,6 +324,7 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
         raise NumericalError(
             f"non-finite {what} at iteration {state.iteration}; diagnostic checkpoint {diag}")
 
+    # appended to, not written through data.replace_file: a rename cannot extend a file
     with open(metrics_path, "a", newline="") as logf:
         writer = csv.writer(logf)
         if new_log:

@@ -1,5 +1,6 @@
 """Checkpoint container tests: byte layout, round trips, bounded loads,
-copy-on-write loads, rejected versions and digest gating."""
+copy-on-write loads, rejected versions and digest gating; and failed writes
+of every file writer."""
 
 import hashlib
 import os
@@ -7,11 +8,13 @@ import stat
 import struct
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from orthoseg import checkpoint as ckpt
+from orthoseg import data
 from orthoseg.errors import ConfigurationError, DataError
 
 
@@ -134,25 +137,38 @@ def test_oversized_extent_rejected_before_allocating(tmp_path):
 
 
 class Exploding:
-    """An array-like whose conversion fails, as a write failing mid-payload."""
+    """A uint8 image-like whose conversion fails, as a write failing
+    mid-payload."""
+
+    dtype, shape = np.dtype("u1"), (2, 2, 3)
 
     def __array__(self, dtype=None, copy=None):
         raise OSError("no space left on device")
 
 
-def test_failed_write_keeps_previous_checkpoint(tmp_path):
-    path = str(tmp_path / "latest.ckpt")
-    ckpt.save_checkpoint(path, {"iteration": 1}, sample_tensors())
+# writer -> write(path, fail): with ``fail`` set, the last payload explodes
+# after the earlier bytes are written
+WRITES = {
+    "save_checkpoint": lambda path, fail: ckpt.save_checkpoint(
+        path, {"iteration": 1}, dict(sample_tensors(), **({"zz": Exploding()} if fail else {}))),
+    "write_mcr": lambda path, fail: data.write_mcr(path, SimpleNamespace(
+        channels={"IR": np.full((2, 2), 7, np.uint8),
+                  "LABEL": Exploding() if fail else np.zeros((2, 2), np.uint8)},
+        height=2, width=2)),
+    "write_ppm": lambda path, fail: data.write_ppm(
+        path, Exploding() if fail else np.full((2, 2, 3), 9, np.uint8)),
+}
+
+
+@pytest.mark.parametrize("writer", WRITES)
+def test_failed_write_keeps_previous_file(tmp_path, writer):
+    path = str(tmp_path / "latest")
+    WRITES[writer](path, False)
     before = Path(path).read_bytes()
-    tensors = dict(sample_tensors(), zz=Exploding())
     with pytest.raises(OSError, match="no space"):
-        ckpt.save_checkpoint(path, {"iteration": 2}, tensors)
+        WRITES[writer](path, True)
     assert Path(path).read_bytes() == before
-    header, loaded = ckpt.load_checkpoint(path)
-    assert header == {"iteration": 1}
-    for name, arr in sample_tensors().items():
-        assert np.array_equal(loaded[name], arr)
-    assert os.listdir(tmp_path) == ["latest.ckpt"]
+    assert os.listdir(tmp_path) == ["latest"]
 
 
 def test_check_digest():

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthoseg import checkpoint, data, inference, trainer
+from orthoseg import autodiff as ad
+from orthoseg import checkpoint, cli, data, inference, trainer
 from orthoseg.cli import build_parser, main
 from orthoseg.config import RunConfig
 from orthoseg.network import Model
@@ -23,6 +25,35 @@ def test_gradcheck_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
     assert "FAIL" not in out
+
+
+def clear_activation_grads(backward):
+    """``backward`` followed by dropping every non-leaf tensor's gradient."""
+    def wrapped(loss):
+        backward(loss)
+        seen, stack = set(), [loss]
+        while stack:
+            t = stack.pop()
+            if t._parents and t._index not in seen:
+                seen.add(t._index)
+                t.grad = None
+                stack.extend(t._parents)
+    return wrapped
+
+
+@pytest.mark.parametrize("patch, failed", [
+    # gates that pass on gradients that never arrive would pass vacuously
+    (lambda mp: mp.setattr(ad, "backward", clear_activation_grads(ad.backward)),
+     ["decoder_feature_gating", "sccb_branch_gating"]),
+    (lambda mp: mp.setattr(ad, "stop_gradient", ad.identity),
+     ["decoder_feature_gating", "sccb_branch_gating"]),
+], ids=["activation-grads-cleared", "gates-removed"])
+def test_gradcheck_gating_audit_fails(monkeypatch, capsys, patch, failed):
+    monkeypatch.setattr(cli, "_gradcheck_cases", lambda: [])  # the gating audit alone
+    patch(monkeypatch)
+    assert run(["gradcheck"]) == 4
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")] == failed
 
 
 def test_synth_deterministic(tmp_path):
@@ -179,6 +210,27 @@ def test_infer_reads_checkpoint_once(pipeline, tmp_path, monkeypatch):
     monkeypatch.setattr(checkpoint, "load_checkpoint", lambda p: calls.append(p) or load(p))
     assert run(["infer", "--ckpt", ckpt, "--image", image, "--out", str(tmp_path / "p")]) == 0
     assert calls == [ckpt]
+
+
+def test_infer_syncs_each_output_and_its_directory(pipeline, tmp_path, monkeypatch):
+    raw = pipeline["raw"]
+    image = os.path.join(raw, sorted(os.listdir(raw))[0])
+    ckpt = os.path.join(pipeline["runout"], "final.ckpt")
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), os.fstat(fd).st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    prefix = tmp_path / "p"
+    assert run(["infer", "--ckpt", ckpt, "--image", image, "--out", str(prefix)]) == 0
+    # each output's data before its rename, then the directory after it
+    outputs = [Path(f"{prefix}_prediction.ppm"), Path(f"{prefix}_probabilities.npy")]
+    assert synced == [step for out in outputs
+                      for step in ((False, out.stat().st_ino), (True, tmp_path.stat().st_ino))]
+    assert sorted(os.listdir(tmp_path)) == sorted(out.name for out in outputs)
 
 
 def test_infer_uses_run_config_stitch_geometry(tmp_path, monkeypatch):
@@ -355,7 +407,12 @@ def test_prepare_rejects_negative_seed(pipeline, tmp_path, capsys):
     ("tile_size=0", "tile_size must be a positive multiple of 2^4, got 0"),
     ("tile_size=3", "tile_size must be a positive multiple of 2^4, got 3"),
     ("tile_size=24", "tile_size must be a positive multiple of 2^4, got 24"),
-], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24"])
+    ("eval_interval=0", "eval_interval must be >= 1, got 0"),
+    ("checkpoint_interval=0", "checkpoint_interval must be >= 1, got 0"),
+    ("noiserate_le64=1.5", "noiserate_le64 must be in [0, 1), got 1.5"),
+    ("noiserate_sccb=-0.1", "noiserate_sccb must be in [0, 1), got -0.1"),
+], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24", "eval-interval-0",
+        "checkpoint-interval-0", "noiserate-1.5", "noiserate-negative"])
 def test_train_rejects_setting_before_reading_data(tmp_path, capsys, setting, detail):
     key = setting.split("=")[0]
     text = "".join(line for line in RunConfig.desk(data_dir=str(tmp_path / "absent")).serialize()

@@ -41,12 +41,6 @@ def test_unknown_key_rejected():
         RunConfig.parse("learnign_rate=0.1\n")
 
 
-def test_retired_out_dir_skipped():
-    cfg = RunConfig.parse("out_dir=run\nseed=5\n")
-    assert cfg == RunConfig(seed=5)
-    assert "out_dir" not in cfg.serialize()
-
-
 @pytest.mark.parametrize("text, detail", [
     ("seed=-1\n", "seed must be >= 0, got -1"),
     ("num_classes=3\n", "num_classes must be 6, got 3"),
@@ -55,7 +49,13 @@ def test_retired_out_dir_skipped():
     ("tile_size=0\n", "tile_size must be a positive multiple of 2\\^8, got 0"),
     ("tile_size=3\n", "tile_size must be a positive multiple of 2\\^8, got 3"),
     ("tile_size=24\n", "tile_size must be a positive multiple of 2\\^8, got 24"),
-], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24"])
+    ("eval_interval=0\n", "eval_interval must be >= 1, got 0"),
+    ("checkpoint_interval=-1\n", "checkpoint_interval must be >= 1, got -1"),
+    ("noiserate_le64=1.5\n", "noiserate_le64 must be in \\[0, 1\\), got 1.5"),
+    ("noiserate_residual=1.0\n", "noiserate_residual must be in \\[0, 1\\), got 1.0"),
+    ("noiserate_sccb=-0.1\n", "noiserate_sccb must be in \\[0, 1\\), got -0.1"),
+], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24", "eval-interval-0",
+        "checkpoint-interval-negative", "noiserate-1.5", "noiserate-1", "noiserate-negative"])
 def test_out_of_range_value_rejected(text, detail):
     with pytest.raises(ConfigurationError, match=detail):
         RunConfig.parse(text)

@@ -342,18 +342,34 @@ class TestPnm:
             read(path)
 
 
-def test_read_arrays_are_writable_copies(tmp_path):
-    """MCR planes and PPM pixels own their data: writing to them leaves the
-    files unchanged, and no view keeps a file's mapping open."""
+def test_read_arrays_are_writable_views(tmp_path):
+    """MCR planes and PPM pixels are copy-on-write views of their files:
+    writable, not owning their data, and writing to them leaves the files
+    unchanged."""
     raster = make_raster(4, 5, seed=18)
     mcr, ppm = tmp_path / "r.mcr", tmp_path / "r.ppm"
     data.write_mcr(mcr, raster)
     data.write_ppm(ppm, data.colorize(raster.channels["LABEL"]))
     before = {path: path.read_bytes() for path in (mcr, ppm)}
     for a in [*data.read_mcr(mcr).channels.values(), data.read_ppm(ppm)]:
-        assert a.flags.owndata and a.flags.writeable
+        assert not a.flags.owndata and a.flags.writeable
         a += 1
     assert {path: path.read_bytes() for path in (mcr, ppm)} == before
+
+
+def test_write_over_read_path_keeps_read_values(tmp_path):
+    raster = make_raster(4, 5, seed=19)
+    rgb = data.colorize(raster.channels["LABEL"])
+    mcr, ppm = tmp_path / "r.mcr", tmp_path / "r.ppm"
+    data.write_mcr(mcr, raster)
+    data.write_ppm(ppm, rgb)
+    planes, pixels = data.read_mcr(mcr).channels, data.read_ppm(ppm)
+    data.write_mcr(mcr, make_raster(4, 5, seed=20))
+    data.write_ppm(ppm, 255 - rgb)
+    for role, plane in raster.channels.items():
+        assert np.array_equal(planes[role], plane), role
+    assert np.array_equal(pixels, rgb)
+    assert not np.array_equal(data.read_ppm(ppm), rgb)
 
 
 class TestSynth:

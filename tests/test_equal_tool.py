@@ -24,11 +24,13 @@ def test_probes_run_and_compare_equal_to_themselves(equal, tmp_path):
     probes = equal.by_probe(out)
     assert {"desk_forward_32", "desk_grads", "desk_stitch_150", "train30_params",
             "train30_losses", "train30_checkpoint_header", "train30_checkpoint",
-            "paper_forward_128", "paper_windowed_256", "io_roundtrip"} <= probes.keys()
+            "paper_forward_128", "paper_windowed_256", "io_roundtrip", "io_bytes"} <= probes.keys()
     assert "desk_grads/sccb.conv1.weight" in probes["desk_grads"]
     assert "train30_checkpoint/param:sccb.conv1.weight" in probes["train30_checkpoint"]
     assert probes["io_roundtrip"].keys() == {f"io_roundtrip/{role}" for role in
                                              ("IR", "R", "G", "B", "DSM", "LABEL", "pixels")}
+    assert probes["io_bytes"].keys() == {"io_bytes/mcr", "io_bytes/ppm"}
+    assert all(a.dtype == np.uint8 for a in probes["io_bytes"].values())
     for name, arrays in probes.items():
         assert equal.compare(arrays, {k: a.copy() for k, a in arrays.items()}) == "equal", name
 

@@ -342,20 +342,6 @@ def test_state_from_checkpoint_draws_no_weights(tmp_path, monkeypatch):
     assert sorted(loaded.velocities) == sorted(state.velocities)
 
 
-def test_model_from_checkpoint_reads_config_text_with_out_dir(tmp_path):
-    cfg = desk_cfg(seed=3)
-    state = make_state(Model.build(cfg.network_config(), seed=3), cfg)
-    path = str(tmp_path / "w.ckpt")
-    # config text as stored while RunConfig still had an out_dir key
-    text = cfg.serialize().replace("output_scale_divisor=", "out_dir=\noutput_scale_divisor=")
-    trainer.state_to_checkpoint(path, state, cfg.digest(), text)
-    loaded_cfg, model = trainer.model_from_checkpoint(path)
-    assert loaded_cfg == cfg
-    assert list(model.params) == list(state.model.params)
-    for name, t in state.model.params.items():
-        assert np.array_equal(model.params[name].data, t.data), name
-
-
 @pytest.mark.parametrize("damage", ["missing", "misshaped"])
 def test_state_from_checkpoint_rejects_bad_parameter(tmp_path, damage):
     cfg = desk_cfg()

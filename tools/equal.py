@@ -94,7 +94,8 @@ def probe_paper(work):
 def probe_io(work):
     """A seeded desk synth raster written with ``write_mcr`` and its
     colorized labels with ``write_ppm``, then read back: every plane under
-    ``io_roundtrip/<role>`` and the pixels under ``io_roundtrip/pixels``."""
+    ``io_roundtrip/<role>`` and the pixels under ``io_roundtrip/pixels``.
+    The written files' bytes are ``io_bytes/mcr`` and ``io_bytes/ppm``."""
     from orthoseg import data
 
     raster = data.synth_dataset(1, 96, seed=9)[0]
@@ -102,7 +103,9 @@ def probe_io(work):
     data.write_mcr(mcr, raster)
     data.write_ppm(ppm, data.colorize(raster.channels["LABEL"]))
     return {**{f"io_roundtrip/{role}": a for role, a in data.read_mcr(mcr).channels.items()},
-            "io_roundtrip/pixels": data.read_ppm(ppm)}
+            "io_roundtrip/pixels": data.read_ppm(ppm),
+            "io_bytes/mcr": np.fromfile(mcr, dtype=np.uint8),
+            "io_bytes/ppm": np.fromfile(ppm, dtype=np.uint8)}
 
 
 PROBES = (probe_desk, probe_training, probe_paper, probe_io)
