@@ -9,9 +9,7 @@ command exits 0 on success; errors print a single machine-parseable line
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -19,12 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data, inference, trainer
 from .config import RunConfig
-from .errors import ConfigurationError, DataError, NumericalError, OrthosegError
+from .errors import ConfigurationError, NumericalError, OrthosegError
 from .network import Model
-
-
-def _slug(text):
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +29,7 @@ def cmd_synth(args):
     os.makedirs(args.out, exist_ok=True)
     rasters = data.synth_dataset(args.count, args.size, args.seed)
     for raster in rasters:
-        data.write_mcr(os.path.join(args.out, f"{_slug(raster.raster_id)}.mcr"), raster)
+        data.write_mcr(os.path.join(args.out, f"{raster.raster_id}.mcr"), raster)
     print(f"wrote {len(rasters)} rasters to {args.out}")
     return 0
 
@@ -48,45 +42,8 @@ def cmd_prepare(args):
     if not 0 < args.val_frac < 1:
         raise ConfigurationError(f"validation fraction {args.val_frac} outside (0,1); "
                                  "a validation set is required for plateau scheduling")
-    paths = sorted(p for p in os.listdir(args.input) if p.endswith(".mcr"))
-    if not paths:
-        raise DataError(f"no .mcr rasters in {args.input}")
-    rasters, tilesets = [], []
-    for p in paths:
-        full = os.path.join(args.input, p)
-        try:
-            raster = data.read_mcr(full, raster_id=os.path.splitext(p)[0])
-        except (DataError, OSError) as exc:
-            raise DataError(f"{full}: {exc}") from exc
-        rasters.append(raster)
-        tilesets.append(data.tile_raster(raster, args.tile, args.overlap))
-    train_ids, val_ids, dropped_ids = data.split_train_val(
-        tilesets, args.val_frac, args.seed)
-
-    tiles_dir = os.path.join(args.out, "tiles")
-    os.makedirs(tiles_dir, exist_ok=True)
-
-    def tile_name(si, oi):
-        r0, c0 = tilesets[si].origins[oi]
-        return f"{_slug(tilesets[si].raster_id)}_r{r0}_c{c0}"
-
-    manifest = {"tile_size": args.tile, "overlap": args.overlap,
-                "seed": args.seed, "train": [], "val": [], "dropped": []}
-
-    def write_tile(split, name, tile):
-        data.write_mcr(os.path.join(tiles_dir, f"{name}.mcr"), tile)
-        manifest[split].append(name)
-
-    for si, oi in val_ids:
-        write_tile("val", tile_name(si, oi), data.extract_tile(rasters[si], tilesets[si], oi))
-    for si, oi in train_ids:
-        rots = data.rotate_augment(data.extract_tile(rasters[si], tilesets[si], oi))
-        for k, rot in enumerate(rots):
-            write_tile("train", f"{tile_name(si, oi)}_rot{90 * k}", rot)
-    manifest["dropped"] = [tile_name(si, oi) for si, oi in dropped_ids]
-
-    with data.replace_file(os.path.join(args.out, "manifest.json")) as f:
-        f.write(json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"))
+    manifest = data.prepare_dataset(args.input, args.out, args.tile, args.overlap,
+                                    args.val_frac, args.seed)
     print(f"train tiles {len(manifest['train'])} val {len(manifest['val'])} "
           f"dropped {len(manifest['dropped'])}")
     return 0

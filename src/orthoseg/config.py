@@ -10,6 +10,7 @@ copy of the presets: ``NetworkConfig.benchmark()``/``desk()`` and
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .data import CLASS_NAMES, replace_file
@@ -73,10 +74,14 @@ class RunConfig:
         k, t = self.num_encoder_blocks + 1, self.tile_size
         if t <= 0 or t % 2 ** min(max(k, 0), t.bit_length()):
             raise ConfigurationError(f"tile_size must be a positive multiple of 2^{k}, got {t}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
+            raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.plateau_threshold < math.inf:
+            raise ConfigurationError(f"plateau_threshold must be finite and >= 0, got {self.plateau_threshold}")
         for key, value in vars(self).items():
-            if key.endswith("_interval") and value < 1:
+            if (key.endswith("_interval") or key == "plateau_window") and value < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {value}")
-            if key.startswith("noiserate_") and not 0 <= value < 1:
+            if (key.startswith("noiserate_") or key.endswith("momentum")) and not 0 <= value < 1:
                 raise ConfigurationError(f"{key} must be in [0, 1), got {value}")
 
     # -- text form --------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import math
 import mmap
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -122,6 +123,9 @@ def write_mcr(path, raster):
             f.write(np.ascontiguousarray(raster.channels[role], dtype=dt))
 
 
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)\s?")
+
+
 class MappedFile:
     """A file mapped copy-on-write and parsed front to back.  Every extent is
     checked against the bytes left before anything is read or allocated; a
@@ -151,11 +155,13 @@ class MappedFile:
     def unpack(self, fmt, what):
         return struct.unpack_from(fmt, self.buf, self.take(struct.calcsize(fmt), what))
 
-    def line(self):
-        """The bytes up to and including the next newline, or to the end of
-        the file; empty at the end."""
-        end = self.buf.find(b"\n", self.pos) + 1 or self.size
-        return self.bytes(end - self.pos, "line")
+    def token(self):
+        """The next header token, after any whitespace and ``#`` comments
+        (each to its line's end), with the one whitespace byte that ends it;
+        empty at the end of the file."""
+        match = _TOKEN.match(self.buf, self.pos)
+        self.pos = match.end()
+        return match.group(1)
 
     def array(self, dtype, shape, what):
         """The next ``shape`` elements of ``dtype``, as a view of the mapping."""
@@ -174,7 +180,9 @@ def read_mcr(path, raster_id=None):
     if magic != b"MCR1":
         raise DataError(f"{path}: bad magic {magic!r}")
     nch, h, w = f.unpack("<III", "header")
-    descs = []
+    if not (nch and h and w):
+        raise DataError(f"{path}: empty raster: {nch} channels of {h}x{w} pixels")
+    descs = {}
     for _ in range(nch):
         raw, code = f.unpack("16sB", "channel descriptor")
         try:
@@ -183,8 +191,10 @@ def read_mcr(path, raster_id=None):
             raise DataError(f"{path}: channel name is not ASCII") from exc
         if code not in _DTYPE_CODES:
             raise DataError(f"{path}: unknown dtype code {code}")
-        descs.append((name, _DTYPE_CODES[code]))
-    channels = {name: f.array(dt, (h, w), f"plane {name}") for name, dt in descs}
+        if name in descs:
+            raise DataError(f"{path}: channel {name} repeated")
+        descs[name] = _DTYPE_CODES[code]
+    channels = {name: f.array(dt, (h, w), f"plane {name}") for name, dt in descs.items()}
     return Raster(channels=channels, raster_id=raster_id or str(path))
 
 
@@ -194,16 +204,15 @@ def read_mcr(path, raster_id=None):
 
 def read_ppm(path):
     """(h, w, 3) uint8 pixels of a binary PPM, a view of the mapped file.  The
-    header is four whitespace-separated fields (P6, width, height, maxval)
-    that may share lines; ``#`` starts a comment that runs to its line's end."""
+    header is four whitespace-separated fields (P6, width, height, maxval);
+    ``#`` starts a comment that runs to its line's end, and the pixels start
+    after the single whitespace byte that follows maxval."""
     f = MappedFile(path)
-    fields = []
-    while len(fields) < 4 and (line := f.line()):
-        fields += line.split(b"#", 1)[0].split()
-    if fields[:1] != [b"P6"]:
-        raise DataError(f"{path}: expected P6, got {fields[:1]!r}")
-    if len(fields) != 4:
-        raise DataError(f"{path}: PPM header has {len(fields)} fields, not 4")
+    fields = [f.token() for _ in range(4)]
+    if fields[0] != b"P6":
+        raise DataError(f"{path}: expected P6, got {fields[0]!r}")
+    if not all(fields):
+        raise DataError(f"{path}: PPM header has {fields.index(b'')} fields, not 4")
     try:
         w, h, maxval = (int(v) for v in fields[1:])
     except ValueError as exc:
@@ -417,7 +426,53 @@ def split_train_val(tilesets, fraction, seed):
 
 
 # ---------------------------------------------------------------------------
-# prepared datasets (written by ``orthoseg prepare``)
+# prepared datasets: written by ``prepare_dataset``, read by ``load_samples``
+
+
+def _slug(text):
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
+
+
+def _read_input(path, raster_id):
+    try:
+        return read_mcr(path, raster_id=raster_id)
+    except (DataError, OSError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def prepare_dataset(input_dir, out_dir, tile, overlap, val_fraction, seed):
+    """Tiles each ``.mcr`` raster in ``input_dir``, splits the tiles
+    (``split_train_val``), writes each validation tile and the four rotations
+    of each training tile to ``out_dir/tiles/<name>.mcr``, then the manifest,
+    which it returns, to ``out_dir/manifest.json``.  Each of the two passes,
+    tiling and writing, maps one input raster at a time."""
+    inputs = {}  # tile-name prefix -> input path, in file-name order
+    for name in sorted(p for p in os.listdir(input_dir) if p.endswith(".mcr")):
+        prefix = _slug(os.path.splitext(name)[0])
+        if prefix in inputs:
+            raise DataError(f"{inputs[prefix]} and {name} would both name their tiles {prefix}_*")
+        inputs[prefix] = os.path.join(input_dir, name)
+    if not inputs:
+        raise DataError(f"no .mcr rasters in {input_dir}")
+    tilesets = [tile_raster(_read_input(path, prefix), tile, overlap) for prefix, path in inputs.items()]
+    train_ids, val_ids, dropped_ids = split_train_val(tilesets, val_fraction, seed)
+    names = [[f"{ts.raster_id}_r{r}_c{c}" for r, c in ts.origins] for ts in tilesets]
+    manifest = {"tile_size": tile, "overlap": overlap, "seed": seed,
+                "train": [f"{names[si][oi]}_rot{90 * k}" for si, oi in train_ids for k in range(4)],
+                "val": [names[si][oi] for si, oi in val_ids], "dropped": [names[si][oi] for si, oi in dropped_ids]}
+    tiles_dir = os.path.join(out_dir, "tiles")
+    os.makedirs(tiles_dir, exist_ok=True)
+    for si, (ts, path) in enumerate(zip(tilesets, inputs.values())):
+        raster = _read_input(path, ts.raster_id)
+        for oi in (oi for sj, oi in val_ids if sj == si):
+            write_mcr(os.path.join(tiles_dir, f"{names[si][oi]}.mcr"), extract_tile(raster, ts, oi))
+        for oi in (oi for sj, oi in train_ids if sj == si):
+            for k, rot in enumerate(rotate_augment(extract_tile(raster, ts, oi))):
+                write_mcr(os.path.join(tiles_dir, f"{names[si][oi]}_rot{90 * k}.mcr"), rot)
+        del raster  # unmapped before the next input is mapped
+    with replace_file(os.path.join(out_dir, "manifest.json")) as f:
+        f.write(json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"))
+    return manifest
 
 
 def load_manifest(prepared_dir):

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,52 @@ def test_prepare_reports_malformed_raster(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error code=3" in err and "bad.mcr" in err
+
+
+def test_prepare_rejects_raster_with_nothing_to_tile(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    planes = {role: np.zeros((0, 64), dtype=np.uint8) for role in data.OPTICAL_ROLES}
+    data.write_mcr(str(raw / "flat.mcr"), data.Raster(planes))
+    code = run(["prepare", "--input", str(raw), "--out", str(tmp_path / "o"), "--tile", "16"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error code=3 kind=DataError" in err and "flat.mcr" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_prepare_rejects_tile_name_collision(tmp_path, capsys):
+    """``a b`` and ``a-b`` both slug to the tile-name prefix ``a-b``."""
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for name, raster in zip(["a b", "a-b"], data.synth_dataset(2, 128, seed=1)):
+        data.write_mcr(str(raw / f"{name}.mcr"), raster)
+    code = run(["prepare", "--input", str(raw), "--out", str(tmp_path / "o"), "--tile", "64",
+                "--overlap", "0.5", "--val-frac", "0.3", "--seed", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error code=3 kind=DataError" in err and "a b.mcr" in err and "a-b.mcr" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_prepare_holds_one_input_open_at_a_time(tmp_path):
+    """40 inputs prepared under a soft limit of 32 file descriptors give the
+    manifest of an unlimited run."""
+    raw, free, limited = (str(tmp_path / d) for d in ("raw", "free", "limited"))
+    assert run(["synth", "--out", raw, "--count", "40", "--size", "32", "--seed", "1"]) == 0
+    argv = ["prepare", "--input", raw, "--tile", "16", "--overlap", "0.5", "--val-frac", "0.1"]
+    assert run([*argv, "--out", free]) == 0
+    code = ("import resource, sys\n"
+            "from orthoseg import cli\n"
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", limited], env=env,
+                          timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    manifests = [json.loads(Path(d, "manifest.json").read_text()) for d in (free, limited)]
+    assert manifests[0] == manifests[1] and manifests[0]["dropped"]
 
 
 @pytest.mark.parametrize("argv, detail", [
@@ -411,8 +459,14 @@ def test_prepare_rejects_negative_seed(pipeline, tmp_path, capsys):
     ("checkpoint_interval=0", "checkpoint_interval must be >= 1, got 0"),
     ("noiserate_le64=1.5", "noiserate_le64 must be in [0, 1), got 1.5"),
     ("noiserate_sccb=-0.1", "noiserate_sccb must be in [0, 1), got -0.1"),
+    ("learning_rate=nan", "learning_rate must be finite and > 0, got nan"),
+    ("momentum=1.5", "momentum must be in [0, 1), got 1.5"),
+    ("fine_tuning_momentum=1", "fine_tuning_momentum must be in [0, 1), got 1.0"),
+    ("plateau_window=0", "plateau_window must be >= 1, got 0"),
+    ("plateau_threshold=-1", "plateau_threshold must be finite and >= 0, got -1.0"),
 ], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24", "eval-interval-0",
-        "checkpoint-interval-0", "noiserate-1.5", "noiserate-negative"])
+        "checkpoint-interval-0", "noiserate-1.5", "noiserate-negative", "learning-rate-nan",
+        "momentum-1.5", "fine-tuning-momentum-1", "plateau-window-0", "plateau-threshold-negative"])
 def test_train_rejects_setting_before_reading_data(tmp_path, capsys, setting, detail):
     key = setting.split("=")[0]
     text = "".join(line for line in RunConfig.desk(data_dir=str(tmp_path / "absent")).serialize()

@@ -54,8 +54,20 @@ def test_unknown_key_rejected():
     ("noiserate_le64=1.5\n", "noiserate_le64 must be in \\[0, 1\\), got 1.5"),
     ("noiserate_residual=1.0\n", "noiserate_residual must be in \\[0, 1\\), got 1.0"),
     ("noiserate_sccb=-0.1\n", "noiserate_sccb must be in \\[0, 1\\), got -0.1"),
+    ("learning_rate=nan\n", "learning_rate must be finite and > 0, got nan"),
+    ("learning_rate=0\n", "learning_rate must be finite and > 0, got 0.0"),
+    ("learning_rate=inf\n", "learning_rate must be finite and > 0, got inf"),
+    ("momentum=1.5\n", "momentum must be in \\[0, 1\\), got 1.5"),
+    ("fine_tuning_momentum=1\n", "fine_tuning_momentum must be in \\[0, 1\\), got 1.0"),
+    ("momentum=-0.5\n", "momentum must be in \\[0, 1\\), got -0.5"),
+    ("plateau_window=0\n", "plateau_window must be >= 1, got 0"),
+    ("plateau_threshold=-1e-06\n", "plateau_threshold must be finite and >= 0, got -1e-06"),
+    ("plateau_threshold=nan\n", "plateau_threshold must be finite and >= 0, got nan"),
 ], ids=["negative-seed", "3-classes", "8-classes", "tile-0", "tile-3", "tile-24", "eval-interval-0",
-        "checkpoint-interval-negative", "noiserate-1.5", "noiserate-1", "noiserate-negative"])
+        "checkpoint-interval-negative", "noiserate-1.5", "noiserate-1", "noiserate-negative",
+        "learning-rate-nan", "learning-rate-0", "learning-rate-inf", "momentum-1.5",
+        "fine-tuning-momentum-1", "momentum-negative", "plateau-window-0",
+        "plateau-threshold-negative", "plateau-threshold-nan"])
 def test_out_of_range_value_rejected(text, detail):
     with pytest.raises(ConfigurationError, match=detail):
         RunConfig.parse(text)

@@ -307,6 +307,20 @@ class TestMcr:
         with pytest.raises(DataError, match="truncated plane DSM"):
             data.read_mcr(path)
 
+    @pytest.mark.parametrize("channels, h, w, match", [
+        ((), 2, 3, "empty raster: 0 channels of 2x3"),
+        (("IR", "IR"), 2, 3, "channel IR repeated"),
+        (("IR", "DSM"), 0, 64, "empty raster: 2 channels of 0x64"),
+        (("IR",), 64, 0, "empty raster: 1 channels of 64x0"),
+    ], ids=["no-channels", "repeated-role", "zero-height", "zero-width"])
+    def test_nothing_to_tile_rejected(self, tmp_path, channels, h, w, match):
+        path = tmp_path / "empty.mcr"
+        path.write_bytes(b"MCR1" + struct.pack("<III", len(channels), h, w)
+                         + b"".join(role.encode().ljust(16, b"\0") + b"\x02" for role in channels)
+                         + bytes(len(channels) * h * w))
+        with pytest.raises(DataError, match=match):
+            data.read_mcr(path)
+
 
 class TestPnm:
     def test_ppm_round_trip(self, tmp_path):
@@ -316,7 +330,11 @@ class TestPnm:
 
     @pytest.mark.parametrize("read, header, pixels", [
         (data.read_ppm, b"P6 2 1 255\n", [[[1, 2, 3], [4, 5, 6]]]),
-    ], ids=["ppm"])
+        # one whitespace byte ends maxval; the next byte is a pixel even if
+        # it reads as whitespace (10 and 32 below)
+        (data.read_ppm, b"P6 2 1 255 ", [[[10, 2, 3], [4, 5, 6]]]),
+        (data.read_ppm, b"P6\t2\t1\t255\t", [[[32, 9, 3], [4, 5, 6]]]),
+    ], ids=["ppm", "ppm-space", "ppm-tab"])
     def test_single_line_header(self, tmp_path, read, header, pixels):
         path = tmp_path / "one.pnm"
         path.write_bytes(header + np.array(pixels, dtype=np.uint8).tobytes())

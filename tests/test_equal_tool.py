@@ -1,6 +1,7 @@
 """Smoke test of tools/equal.py: its probes run on this tree alone."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,18 @@ def test_probes_run_and_compare_equal_to_themselves(equal, tmp_path):
     probes = equal.by_probe(out)
     assert {"desk_forward_32", "desk_grads", "desk_stitch_150", "train30_params",
             "train30_losses", "train30_checkpoint_header", "train30_checkpoint",
-            "paper_forward_128", "paper_windowed_256", "io_roundtrip", "io_bytes"} <= probes.keys()
+            "paper_forward_128", "paper_windowed_256", "io_roundtrip", "io_bytes",
+            "prepare_bytes"} <= probes.keys()
     assert "desk_grads/sccb.conv1.weight" in probes["desk_grads"]
     assert "train30_checkpoint/param:sccb.conv1.weight" in probes["train30_checkpoint"]
     assert probes["io_roundtrip"].keys() == {f"io_roundtrip/{role}" for role in
                                              ("IR", "R", "G", "B", "DSM", "LABEL", "pixels")}
     assert probes["io_bytes"].keys() == {"io_bytes/mcr", "io_bytes/ppm"}
     assert all(a.dtype == np.uint8 for a in probes["io_bytes"].values())
+    manifest = json.loads(probes["prepare_bytes"]["prepare_bytes/manifest.json"].tobytes())
+    assert manifest["dropped"]
+    assert {f"prepare_bytes/tiles/{name}.mcr" for name in manifest["train"] + manifest["val"]} == (
+        probes["prepare_bytes"].keys() - {"prepare_bytes/manifest.json"})
     for name, arrays in probes.items():
         assert equal.compare(arrays, {k: a.copy() for k, a in arrays.items()}) == "equal", name
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -108,7 +109,25 @@ def probe_io(work):
             "io_bytes/ppm": np.fromfile(ppm, dtype=np.uint8)}
 
 
-PROBES = (probe_desk, probe_training, probe_paper, probe_io)
+def probe_prepare(work):
+    """``orthoseg prepare`` over three seeded synth rasters, with a split that
+    drops tiles: the manifest and every tile file, each under
+    ``prepare_bytes/<path relative to the prepared directory>``."""
+    from orthoseg import cli
+
+    raw, prep = os.path.join(work, "prepare_raw"), os.path.join(work, "prepared")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["synth", "--out", raw, "--count", "3", "--size", "32", "--seed", "10"],
+                     ["prepare", "--input", raw, "--out", prep, "--tile", "16", "--overlap", "0.5",
+                      "--val-frac", "0.2", "--seed", "1"]):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"orthoseg {argv[0]} failed")
+    return {f"prepare_bytes/{os.path.relpath(os.path.join(d, name), prep)}":
+            np.fromfile(os.path.join(d, name), dtype=np.uint8)
+            for d, _, names in os.walk(prep) for name in names}
+
+
+PROBES = (probe_desk, probe_training, probe_paper, probe_io, probe_prepare)
 
 
 def run_probes(work):
