@@ -100,8 +100,13 @@ def replace_file(path):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:  # makes the rename itself durable
+    _sync_dir(os.path.dirname(os.path.abspath(path)))
+
+
+def _sync_dir(path):
+    """Makes the last rename or removal in the directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
         os.fsync(fd)
     finally:
         os.close(fd)
@@ -444,8 +449,9 @@ def prepare_dataset(input_dir, out_dir, tile, overlap, val_fraction, seed):
     """Tiles each ``.mcr`` raster in ``input_dir``, splits the tiles
     (``split_train_val``), writes each validation tile and the four rotations
     of each training tile to ``out_dir/tiles/<name>.mcr``, then the manifest,
-    which it returns, to ``out_dir/manifest.json``.  Each of the two passes,
-    tiling and writing, maps one input raster at a time."""
+    which it returns, to ``out_dir/manifest.json``.  A previous manifest is
+    removed before the first tile is written, so a stopped run leaves none.
+    Each of the two passes, tiling and writing, maps one input raster at a time."""
     inputs = {}  # tile-name prefix -> input path, in file-name order
     for name in sorted(p for p in os.listdir(input_dir) if p.endswith(".mcr")):
         prefix = _slug(os.path.splitext(name)[0])
@@ -462,6 +468,9 @@ def prepare_dataset(input_dir, out_dir, tile, overlap, val_fraction, seed):
                 "val": [names[si][oi] for si, oi in val_ids], "dropped": [names[si][oi] for si, oi in dropped_ids]}
     tiles_dir = os.path.join(out_dir, "tiles")
     os.makedirs(tiles_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "manifest.json"))
+    _sync_dir(out_dir)
     for si, (ts, path) in enumerate(zip(tilesets, inputs.values())):
         raster = _read_input(path, ts.raster_id)
         for oi in (oi for sj, oi in val_ids if sj == si):
@@ -576,13 +585,3 @@ def synth_dataset(num_rasters, size, seed):
         rng = np.random.default_rng(master.integers(0, 2**63))
         rasters.append(synth_raster(size, rng, raster_id=f"synth{i:03d}"))
     return rasters
-
-
-def nearest_centroid_accuracy(raster):
-    """Accuracy of a per-pixel nearest-centroid classifier on raw channels;
-    the solvability oracle for synthetic scenes."""
-    feats = np.stack([raster.channels[r].astype(np.float32) for r in OPTICAL_ROLES], axis=-1)
-    cent = np.array([SYNTH_SIGNATURES[c] for c in range(6)], dtype=np.float32)
-    d2 = ((feats[..., None, :] - cent) ** 2).sum(axis=-1)
-    pred = d2.argmin(axis=-1)
-    return float((pred == raster.channels["LABEL"]).mean())

@@ -14,15 +14,17 @@ Schedule rules:
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .config import RunConfig
+from .data import replace_file
 from .errors import ConfigurationError, DataError, NumericalError, OrthosegError
 from .network import Model, NoiseRates
 
@@ -78,6 +80,7 @@ class TrainState:
     iteration: int = 0
     phase: str = PHASE_INITIAL
     fine_plateau_count: int = 0
+    log: list = field(default_factory=list)  # one METRICS_FIELDS row per evaluation
 
     @property
     def unfrozen_blocks(self):
@@ -170,6 +173,7 @@ def state_to_checkpoint(path, state, config_digest, config_text=""):
         "frozen": [n for n, t in state.model.params.items() if not t.requires_grad],
         "tracker": state.tracker.to_dict(),
         "noise_rng_state": state.noise_rng.bit_generator.state,
+        "log": state.log,
         **{key: getattr(state, key) for key, _ in _HEADER_SCALARS},
     }
     tensors = {}
@@ -215,8 +219,9 @@ def state_from_tensors(header, tensors, network_config):
     ``tensors``; float32 parameters and velocities are used in place
     (``train_loop`` copies those that are views of a mapped file). A
     missing or malformed header entry (integers must be non-negative, the
-    phase a known one) raises ``DataError`` naming it, as does a trainable
-    parameter without a velocity of its shape. Other keys are ignored."""
+    phase a known one, each log row one that ``metrics.csv`` can show)
+    raises ``DataError`` naming it, as does a trainable parameter without a
+    velocity of its shape. Other keys are ignored."""
 
     def value(key, kind, parse=lambda v: v):
         try:
@@ -246,6 +251,7 @@ def state_from_tensors(header, tensors, network_config):
         noiserates=value("noiserates", dict, NoiseRates.from_dict),
         tracker=value("tracker", dict, PlateauTracker.from_dict),
         noise_rng=rng,
+        log=value("log", list, lambda rows: _metrics_csv(rows) and rows),
         **{key: value(key, kind) for key, kind in _HEADER_SCALARS},
     )
 
@@ -286,13 +292,25 @@ METRICS_FIELDS = ("iteration", "train_loss", "val_loss", "lr", "momentum", "phas
                   "noiserate_sccb", "noiserate_residual", "unfrozen_blocks")
 
 
+def _metrics_csv(log):
+    """``metrics.csv``'s bytes for the evaluation rows ``log``, losses to six
+    decimals; raises ``TypeError`` or ``ValueError`` for an unformattable row."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(METRICS_FIELDS)
+    for iteration, train_loss, val_loss, *rest in log:
+        writer.writerow([iteration, f"{train_loss:.6f}", f"{val_loss:.6f}", *rest])
+    return text.getvalue().encode("utf-8")
+
+
 def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
                max_iterations=None, state=None):
     """Batch-size-1 iteration loop with plateau-driven schedule transitions.
 
-    Returns the final TrainState.  Appends one CSV line per evaluation to
-    ``out_dir/metrics.csv``; checkpoints on every new validation best and
-    every ``checkpoint_interval`` iterations.
+    Returns the final TrainState.  Adds one row per evaluation to
+    ``state.log`` and writes ``out_dir/metrics.csv`` from it, at the start
+    and after each evaluation; checkpoints on every new validation best of
+    the log and every ``checkpoint_interval`` iterations.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -312,10 +330,8 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     digest = run_cfg.digest()
     cfg_text = run_cfg.serialize()
     limit = run_cfg.max_iterations if max_iterations is None else max_iterations
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    new_log = not os.path.exists(metrics_path)
     n = len(train_samples)
-    best_seen = state.tracker.best_loss
+    best_seen = min((row[2] for row in state.log), default=math.inf)
     params = state.model.params
 
     def fail(what):
@@ -324,52 +340,51 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
         raise NumericalError(
             f"non-finite {what} at iteration {state.iteration}; diagnostic checkpoint {diag}")
 
-    # appended to, not written through data.replace_file: a rename cannot extend a file
-    with open(metrics_path, "a", newline="") as logf:
-        writer = csv.writer(logf)
-        if new_log:
-            writer.writerow(METRICS_FIELDS)
-        while state.iteration < limit:
-            idx = _epoch_index(state.seed, state.iteration // n, n, state.iteration % n)
-            primary, auxiliary, label_half = train_samples[idx]
-            probs = state.model.forward(primary[None], auxiliary[None], training=True,
-                                        rng=state.noise_rng, noiserates=state.noiserates)
-            loss = ad.cross_entropy_loss(probs, label_half[None])
-            train_loss = float(loss.data)
-            if not math.isfinite(train_loss):
-                fail("loss")
-            for t in params.values():
-                t.grad = None
-            ad.backward(loss)
-            for name, t in params.items():  # before any parameter moves
-                if t.grad is not None and not np.isfinite(t.grad).all():
-                    fail(f"gradient of {name}")
-            nesterov_step(params, state)
-            for t in params.values():
-                t.grad = None
-            state.iteration += 1
+    def write_log():
+        with replace_file(os.path.join(out_dir, "metrics.csv")) as f:
+            f.write(_metrics_csv(state.log))
 
-            if state.iteration % run_cfg.eval_interval == 0 or state.iteration == limit:
-                val_loss = validation_loss(state.model, val_samples)
-                if not math.isfinite(val_loss):
-                    fail("validation loss")
-                fired = state.tracker.check(state.iteration, val_loss)
-                if fired:
-                    on_plateau(state)
-                writer.writerow([
-                    state.iteration, f"{train_loss:.6f}", f"{val_loss:.6f}",
-                    state.lr, state.momentum, state.phase,
-                    state.noiserates.rate("encoder", 512),
-                    state.noiserates.rate("decoder", 512),
-                    state.noiserates.sccb, state.noiserates.residual,
-                    " ".join(str(b) for b in state.unfrozen_blocks),
-                ])
-                logf.flush()
-                if val_loss < best_seen:
-                    best_seen = val_loss
-                    state_to_checkpoint(os.path.join(out_dir, "best.ckpt"), state, digest, cfg_text)
-            if state.iteration % run_cfg.checkpoint_interval == 0:
-                state_to_checkpoint(os.path.join(out_dir, "latest.ckpt"), state, digest, cfg_text)
+    write_log()
+    while state.iteration < limit:
+        idx = _epoch_index(state.seed, state.iteration // n, n, state.iteration % n)
+        primary, auxiliary, label_half = train_samples[idx]
+        probs = state.model.forward(primary[None], auxiliary[None], training=True,
+                                    rng=state.noise_rng, noiserates=state.noiserates)
+        loss = ad.cross_entropy_loss(probs, label_half[None])
+        train_loss = float(loss.data)
+        if not math.isfinite(train_loss):
+            fail("loss")
+        for t in params.values():
+            t.grad = None
+        ad.backward(loss)
+        for name, t in params.items():  # before any parameter moves
+            if t.grad is not None and not np.isfinite(t.grad).all():
+                fail(f"gradient of {name}")
+        nesterov_step(params, state)
+        for t in params.values():
+            t.grad = None
+        state.iteration += 1
+
+        if state.iteration % run_cfg.eval_interval == 0 or state.iteration == limit:
+            val_loss = validation_loss(state.model, val_samples)
+            if not math.isfinite(val_loss):
+                fail("validation loss")
+            if state.tracker.check(state.iteration, val_loss):
+                on_plateau(state)
+            state.log.append([
+                state.iteration, train_loss, val_loss,
+                state.lr, state.momentum, state.phase,
+                state.noiserates.rate("encoder", 512),
+                state.noiserates.rate("decoder", 512),
+                state.noiserates.sccb, state.noiserates.residual,
+                " ".join(str(b) for b in state.unfrozen_blocks),
+            ])
+            write_log()
+            if val_loss < best_seen:
+                best_seen = val_loss
+                state_to_checkpoint(os.path.join(out_dir, "best.ckpt"), state, digest, cfg_text)
+        if state.iteration % run_cfg.checkpoint_interval == 0:
+            state_to_checkpoint(os.path.join(out_dir, "latest.ckpt"), state, digest, cfg_text)
 
     state_to_checkpoint(os.path.join(out_dir, "final.ckpt"), state, digest, cfg_text)
     return state

@@ -15,6 +15,7 @@ from orthoseg import autodiff as ad
 from orthoseg import checkpoint, cli, data, inference, trainer
 from orthoseg.cli import build_parser, main
 from orthoseg.config import RunConfig
+from orthoseg.errors import DataError
 from orthoseg.network import Model
 
 
@@ -169,6 +170,31 @@ def test_prepare_holds_one_input_open_at_a_time(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifests = [json.loads(Path(d, "manifest.json").read_text()) for d in (free, limited)]
     assert manifests[0] == manifests[1] and manifests[0]["dropped"]
+
+
+def test_stopped_reprepare_leaves_no_manifest(tmp_path, monkeypatch):
+    """A ``--tile 32`` prepare stopped after 20 tiles, over a ``--tile 64``
+    dataset, leaves no manifest that names a mix of the two runs' tiles."""
+    raw, prep = str(tmp_path / "raw"), str(tmp_path / "prep")
+    assert run(["synth", "--out", raw, "--count", "2", "--size", "128", "--seed", "3"]) == 0
+    argv = ["prepare", "--input", raw, "--out", prep]
+    assert run([*argv, "--tile", "64"]) == 0
+    write_mcr, written = data.write_mcr, []
+
+    class Stop(BaseException):
+        pass
+
+    def stop_after_20(path, raster):
+        if len(written) == 20:
+            raise Stop
+        written.append(path)
+        write_mcr(path, raster)
+
+    monkeypatch.setattr(data, "write_mcr", stop_after_20)
+    with pytest.raises(Stop):
+        run([*argv, "--tile", "32"])
+    with pytest.raises(DataError, match="run prepare first"):
+        data.load_manifest(prep)
 
 
 @pytest.mark.parametrize("argv, detail", [

@@ -138,7 +138,7 @@ def saved_state(tmp_path_factory):
 
 
 HEADER_KEYS = ["config_digest", "config_text", "digest_algorithm", "fine_plateau_count",
-               "fine_tuning_momentum", "frozen", "iteration", "lr", "momentum",
+               "fine_tuning_momentum", "frozen", "iteration", "log", "lr", "momentum",
                "noise_rng_state", "noiserates", "phase", "seed", "tracker"]
 
 

@@ -1,13 +1,15 @@
 """Trainer tests: Nesterov update oracle, plateau tracker traces, schedule
 transitions, and bit-exact checkpoint resume of a short run."""
 
+import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from orthoseg import autodiff as ad
-from orthoseg import checkpoint, network, trainer
+from orthoseg import checkpoint, cli, network, trainer
 from orthoseg.config import RunConfig
 from orthoseg.errors import DataError, NumericalError, OrthosegError
 from orthoseg.network import Model
@@ -277,6 +279,53 @@ def test_resume_is_bitwise_identical(tmp_path):
     assert state_a.noise_rng.bit_generator.state == state_b.noise_rng.bit_generator.state
 
 
+def test_stopped_and_resumed_run_writes_the_uninterrupted_files(tmp_path):
+    """Stopped at 9 and resumed into the same directory from ``latest.ckpt``
+    (iteration 5), a run rewrites the log from the checkpoint's rows, so no
+    row of iterations 6-9 is written twice."""
+    cfg = desk_cfg(max_iterations=12, eval_interval=2, checkpoint_interval=5, seed=7)
+    samples = synth_samples(3, size=16, seed=4)
+    val = synth_samples(1, size=16, seed=9)
+    a, b = tmp_path / "a", tmp_path / "b"
+    trainer.train_loop(cfg, Model.build(cfg.network_config(), seed=cfg.seed), samples, val, str(a))
+    trainer.train_loop(cfg, Model.build(cfg.network_config(), seed=cfg.seed), samples, val, str(b),
+                       max_iterations=9)
+    state, _ = trainer.state_from_checkpoint(str(b / "latest.ckpt"), cfg.network_config())
+    assert state.iteration == 5 and [row[0] for row in state.log] == [2, 4]
+    trainer.train_loop(cfg, None, samples, val, str(b), state=state)
+    rows = (a / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "4", "6", "8", "10", "12"]
+    for name in ("metrics.csv", "final.ckpt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_best_checkpoint_is_chosen_from_the_log(tmp_path, monkeypatch):
+    """Iteration 2's loss is the lowest but no plateau-threshold improvement
+    on iteration 1's, and iteration 3's lies between the two: a run resumed at
+    2 must not take 3 for a new best because the tracker's best is still 1.0."""
+    cfg = desk_cfg(max_iterations=4, eval_interval=1, checkpoint_interval=2,
+                   plateau_threshold=1e-6, seed=0)
+    samples = synth_samples(1, size=16)
+    losses = [1.0, 0.9999995, 0.9999997, 0.99999975]
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    def scripted(scores):
+        monkeypatch.setattr(trainer, "validation_loss", lambda model, val: next(scores))
+
+    scripted(iter(losses))
+    trainer.train_loop(cfg, Model.build(cfg.network_config(), seed=0), samples, samples, str(a))
+    scripted(iter(losses[:2]))
+    trainer.train_loop(cfg, Model.build(cfg.network_config(), seed=0), samples, samples, str(b),
+                       max_iterations=2)
+    state, _ = trainer.state_from_checkpoint(str(b / "latest.ckpt"), cfg.network_config())
+    scripted(iter(losses[2:]))
+    trainer.train_loop(cfg, None, samples, samples, str(b), state=state)
+    for run in (a, b):
+        header, _ = checkpoint.load_checkpoint(str(run / "best.ckpt"))
+        assert header["iteration"] == 2, run.name
+    assert (a / "best.ckpt").read_bytes() == (b / "best.ckpt").read_bytes()
+
+
 def test_nonfinite_loss_raises_with_diagnostic(tmp_path):
     cfg = desk_cfg(max_iterations=2, eval_interval=1, checkpoint_interval=100,
                    learning_rate=1e30, seed=0)
@@ -362,7 +411,7 @@ def test_state_from_checkpoint_rejects_bad_parameter(tmp_path, damage):
 @pytest.mark.parametrize("damage", ["missing", "malformed"])
 @pytest.mark.parametrize("key", ["iteration", "phase", "lr", "momentum", "fine_tuning_momentum",
                                  "fine_plateau_count", "seed", "frozen",
-                                 "noiserates", "tracker", "noise_rng_state"])
+                                 "noiserates", "tracker", "noise_rng_state", "log"])
 def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
     cfg = desk_cfg()
     path = str(tmp_path / "w.ckpt")
@@ -388,8 +437,9 @@ def test_state_from_tensors_names_bad_header_key(tmp_path, key, damage):
     (("seed",), -1),
     (("frozen",), []),
     (("phase",), "bogus"),
+    (("log",), [["x", "y", "z"]]),
 ], ids=["rate-str", "rate-one", "rate-negative", "no-buckets", "tracker-str", "tracker-null",
-        "negative-iteration", "negative-seed", "no-velocity", "unknown-phase"])
+        "negative-iteration", "negative-seed", "no-velocity", "unknown-phase", "log-unformattable"])
 def test_state_from_tensors_rejects_unusable_value(tmp_path, path, value):
     """Values that load as JSON of the right shape yet would crash a resumed run."""
     cfg = desk_cfg()
@@ -450,3 +500,42 @@ def test_digest_mismatch_rejected(tmp_path):
                                              expected_digest=other.digest(),
                                              override=True)
     assert state.iteration == 2
+
+
+@pytest.fixture(scope="module")
+def desk_cli_run(tmp_path_factory):
+    """``orthoseg train`` of a 12-iteration desk run (eval every 2,
+    checkpoint every 5) on 16-px tiles; returns its config path and run
+    directory."""
+    root = tmp_path_factory.mktemp("cli_run")
+    raw, prep = str(root / "raw"), str(root / "prep")
+    assert cli.main(["synth", "--out", raw, "--count", "2", "--size", "32", "--seed", "1"]) == 0
+    assert cli.main(["prepare", "--input", raw, "--out", prep, "--tile", "16",
+                     "--overlap", "0.5", "--val-frac", "0.2", "--seed", "0"]) == 0
+    cfg_path = str(root / "run.cfg")
+    desk_cfg(tile_size=16, max_iterations=12, eval_interval=2, checkpoint_interval=5,
+             data_dir=prep).save(cfg_path)
+    assert cli.main(["train", "--config", cfg_path, "--out", str(root / "run")]) == 0
+    return cfg_path, root / "run"
+
+
+def test_cli_resume_into_new_out_writes_the_whole_log(desk_cli_run, tmp_path):
+    cfg_path, run = desk_cli_run
+    out = tmp_path / "cont"
+    assert cli.main(["train", "--config", cfg_path, "--out", str(out),
+                     "--resume", str(run / "latest.ckpt")]) == 0
+    for name in ("metrics.csv", "final.ckpt"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def test_fresh_run_into_used_out_keeps_only_its_own_rows(desk_cli_run, tmp_path):
+    """A 4-iteration run without ``--resume`` into a copy of the 12-iteration
+    run's directory logs the evaluations at 2 and 4 alone."""
+    cfg_path, run = desk_cli_run
+    out = tmp_path / "used"
+    shutil.copytree(run, out)
+    short = str(tmp_path / "short.cfg")
+    dataclasses.replace(RunConfig.load(cfg_path), max_iterations=4).save(short)
+    assert cli.main(["train", "--config", short, "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_text().splitlines() == \
+        (run / "metrics.csv").read_text().splitlines()[:3]

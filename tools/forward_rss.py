@@ -8,10 +8,13 @@ This is the forward ``orthoseg infer`` runs for a 1024-px tile: a seeded
 windowed on the central 256² that stitching keeps and once unwindowed.
 Each forward runs in a fresh process that imports orthoseg from its tree's
 ``src/``, because ``ru_maxrss`` is the high-water mark of a whole process;
-REV is checked out with ``equal.worktree``.  One line is printed per run:
-tree, mode, seconds of the forward, ``ru_maxrss`` in MB (the interpreter
-and the weights included) and the sha256 of the output probabilities.
-Peaks reach about 2.5 GB, and the four runs take about a minute on
+REV is checked out with ``equal.worktree``.  Each process runs the forward
+twice on the same inputs and checks that both give the same output.  One
+line is printed per run: tree, mode, seconds of the first forward,
+``ru_maxrss`` in MB (the interpreter and the weights included), the sha256
+of the output probabilities, then the second forward's seconds, minor page
+faults and system seconds (deltas of ``ru_minflt`` and ``ru_stime``).
+Peaks reach about 2.5 GB, and the four runs take about two minutes on
 2 vCPUs.
 """
 
@@ -33,20 +36,33 @@ MODES = ("windowed", "full")
 
 
 def measure(cfg, size, windowed):
-    """(seconds, ru_maxrss MB, output sha256) of one seeded eval forward of
-    ``cfg``'s network on size² inputs; ``windowed`` keeps the central half
-    of each side, as ``infer_full_raster`` does."""
+    """Two seeded eval forwards of ``cfg``'s network on the same size² inputs:
+    the first one's seconds, ``ru_maxrss`` MB and output sha256, then the
+    second one's seconds, minor page faults and system seconds. ``windowed``
+    keeps the central half of each side, as ``infer_full_raster`` does.
+    Raises ``RuntimeError`` if the two outputs differ."""
     from orthoseg.network import Model
 
     model = Model.build(cfg.network_config(), seed=0)
     primary, auxiliary = np.random.default_rng(1).normal(size=(2, 1, 3, size, size)).astype(np.float32)
     q = size // 4
     keep = ((q, size - q), (q, size - q)) if windowed else None
-    t0 = time.perf_counter()
-    probs = model.forward(primary, auxiliary, keep=keep).data
-    seconds = time.perf_counter() - t0
+
+    def forward():
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        t0 = time.perf_counter()
+        probs = model.forward(primary, auxiliary, keep=keep).data
+        seconds = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        return (seconds, after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime,
+                hashlib.sha256(probs.tobytes()).hexdigest())
+
+    seconds, _, _, digest = forward()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return seconds, rss_mb, hashlib.sha256(probs.tobytes()).hexdigest()
+    second, minflt, stime, again = forward()
+    if again != digest:
+        raise RuntimeError(f"the second forward's output differs: sha256 {again} vs {digest}")
+    return seconds, rss_mb, digest, second, minflt, stime
 
 
 def _run(src, mode):
@@ -58,8 +74,9 @@ def _run(src, mode):
 
 
 def _format(result):
-    seconds, rss_mb, digest = result
-    return f"{seconds:.2f} s", f"{rss_mb:.1f} MB", digest
+    seconds, rss_mb, digest, second, minflt, stime = result
+    return (f"{seconds:.2f} s", f"{rss_mb:.1f} MB", digest,
+            f"second {second:.2f} s", f"{minflt} minflt", f"{stime:.2f} s sys")
 
 
 def main(argv):
