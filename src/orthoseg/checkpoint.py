@@ -1,12 +1,12 @@
-"""Binary checkpoint container, format version 2.
+"""Binary checkpoint container, format version 3.
 
-Layout (all integers little-endian):
-  magic "OSCK" | u32 format version | u32 header length | header JSON
-  (sorted keys) | u32 tensor count | records.
-Each record: u16 name length + UTF-8 name | u8 dtype code (1 = f32,
-2 = f64) | u8 rank | u32 extents | zero padding | raw little-endian payload.
-The padding (0 to 63 zero bytes) starts every payload at a multiple of 64
-bytes from the start of the file. Only version 2 loads.
+Layout: magic "OSCK" | u32 LE format version | u32 LE length n | n bytes of
+UTF-8 JSON with sorted keys, ``{"header": {...}, "tensors": [[name, dtype,
+[extents...]], ...]}`` with dtype "<f4" or "<f8" | each tensor's raw
+little-endian payload in table order. Zero padding (0 to 63 bytes) before
+each payload starts it at a multiple of 64 bytes from the start of the file,
+so the offsets follow from the table and are not stored. Only version 3
+loads.
 
 ``load_checkpoint`` maps the file copy-on-write and returns each payload as
 a view of the mapping. A page is read from disk only when it is first
@@ -32,11 +32,10 @@ from .data import MappedFile, replace_file
 from .errors import ConfigurationError, DataError
 
 MAGIC = b"OSCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _ALIGN = 64  # payload alignment
 
-_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
-_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
+_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 _MAX_RANK = 32  # the most dimensions any numpy version allocates
 
 
@@ -46,28 +45,19 @@ def save_checkpoint(path, header, tensors):
     Writes through ``data.replace_file``, so a failed or killed write leaves
     any previous checkpoint intact and a finished one survives a crash."""
     with replace_file(path) as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr)
-            dt = np.dtype("<f8") if arr.dtype == np.float64 else np.dtype("<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("BB", _CODES[dt], arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        table = [[name, "<f8" if arr.dtype == np.float64 else "<f4", list(arr.shape)]
+                 for name, arr in tensors.items()]
+        blob = json.dumps({"header": header, "tensors": table}, sort_keys=True).encode("utf-8")
+        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob)
+        for (_, dtype, _), arr in zip(table, tensors.values()):
             f.write(bytes(-f.tell() % _ALIGN))
-            f.write(np.ascontiguousarray(arr, dtype=dt))
+            f.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_checkpoint(path):
     """Returns (header dict, ordered name -> array dict).
 
-    The header and record table are parsed from one ``data.MappedFile``,
+    The JSON and its tensor table are parsed from one ``data.MappedFile``,
     with every extent checked against the file size, so a truncated or
     malformed file raises ``DataError`` before any payload is touched. The
     payloads are writable views of the mapping."""
@@ -77,34 +67,34 @@ def load_checkpoint(path):
     (version,) = f.unpack("<I", "format version")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
-    (hlen,) = f.unpack("<I", "header length")
+    (length,) = f.unpack("<I", "header length")
     try:
-        header = json.loads(f.bytes(hlen, "header").decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+        doc = json.loads(f.bytes(length, "header").decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
         raise DataError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: header is not a JSON object")
-    (count,) = f.unpack("<I", "tensor count")
+    if not (isinstance(doc, dict) and doc.keys() == {"header", "tensors"}
+            and isinstance(doc["header"], dict) and isinstance(doc["tensors"], list)):
+        raise DataError(f"{path}: header is not a JSON object of a header object "
+                        "and a tensors list")
     tensors = {}
-    for _ in range(count):
-        (nlen,) = f.unpack("<H", "record")
-        try:
-            name = f.bytes(nlen, "record").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: tensor name is not UTF-8") from exc
-        code, rank = f.unpack("BB", f"record {name}")
-        if code not in _DTYPES:
-            raise DataError(f"{path}: unknown dtype code {code} for {name}")
-        if rank > _MAX_RANK:
-            raise DataError(f"{path}: rank {rank} of {name} exceeds {_MAX_RANK}")
+    for index, entry in enumerate(doc["tensors"]):
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[2], list)):
+            raise DataError(f"{path}: tensor table entry {index} is not [name, dtype, extents]")
+        name, dtype, shape = entry
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise DataError(f"{path}: unknown dtype for {name}")
+        if len(shape) > _MAX_RANK:
+            raise DataError(f"{path}: rank {len(shape)} of {name} exceeds {_MAX_RANK}")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"{path}: extents of {name} are not non-negative integers")
         if name in tensors:
             raise DataError(f"{path}: duplicate tensor name {name}")
-        shape = f.unpack(f"<{rank}I", f"record {name}")
         padding = f.bytes(-f.pos % _ALIGN, f"padding for {name}")
         if padding.count(0) != len(padding):
             raise DataError(f"{path}: non-zero padding before {name}")
-        tensors[name] = f.array(_DTYPES[code], shape, f"payload for {name}")
-    return header, tensors
+        tensors[name] = f.array(_DTYPES[dtype], shape, f"payload for {name}")
+    return doc["header"], tensors
 
 
 def check_digest(header, expected_digest, override=False):

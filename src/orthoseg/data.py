@@ -112,6 +112,15 @@ def _sync_dir(path):
         os.close(fd)
 
 
+def remove_files(directory, names):
+    """Removes each of the files ``names`` that exists in ``directory``, then
+    syncs the directory so that the removals are durable."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, name))
+    _sync_dir(directory)
+
+
 def write_mcr(path, raster):
     with replace_file(path) as f:
         f.write(b"MCR1")
@@ -173,13 +182,14 @@ class MappedFile:
         count = math.prod(shape)
         start = self.take(count * dtype.itemsize, what)
         try:
-            return np.frombuffer(self.buf, dtype, count, start).reshape(shape)
+            return np.ndarray(shape, dtype, self.buf, start)
         except ValueError as exc:  # zero-size, yet too many elements to index
             raise DataError(f"{self.path}: {what} has unsupported extents {shape}") from exc
 
 
 def read_mcr(path, raster_id=None):
-    """The raster in ``path``; its planes are views of the mapped file."""
+    """The raster in ``path``; its planes are views of the mapped file.  A
+    float32 plane holding a NaN or infinite pixel raises ``DataError``."""
     f = MappedFile(path)
     (magic,) = f.unpack("4s", "magic")
     if magic != b"MCR1":
@@ -200,6 +210,10 @@ def read_mcr(path, raster_id=None):
             raise DataError(f"{path}: channel {name} repeated")
         descs[name] = _DTYPE_CODES[code]
     channels = {name: f.array(dt, (h, w), f"plane {name}") for name, dt in descs.items()}
+    for name, plane in channels.items():
+        if plane.dtype.kind == "f" and not (finite := np.isfinite(plane)).all():
+            r, c = np.argwhere(~finite)[0]
+            raise DataError(f"{path}: {name} pixel ({r},{c}) is {plane[r, c]}, not finite")
     return Raster(channels=channels, raster_id=raster_id or str(path))
 
 
@@ -377,7 +391,8 @@ def network_inputs(planes):
 def assemble_inputs(tile):
     """Tile raster -> (primary, auxiliary, label, label_half): the
     ``network_inputs`` of its planes, the label at full resolution and a
-    nearest-neighbor half-resolution copy."""
+    nearest-neighbor half-resolution copy, which does not keep the full
+    label alive."""
     if "LABEL" not in tile.channels:
         raise DataError(f"tile {tile.raster_id!r} missing role LABEL")
     try:
@@ -385,7 +400,7 @@ def assemble_inputs(tile):
     except DataError as exc:
         raise DataError(f"tile {tile.raster_id!r}: {exc}") from exc
     label = tile.channels["LABEL"].astype(np.int64)
-    return primary, auxiliary, label, label[::2, ::2]
+    return primary, auxiliary, label, label[::2, ::2].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +465,9 @@ def prepare_dataset(input_dir, out_dir, tile, overlap, val_fraction, seed):
     (``split_train_val``), writes each validation tile and the four rotations
     of each training tile to ``out_dir/tiles/<name>.mcr``, then the manifest,
     which it returns, to ``out_dir/manifest.json``.  A previous manifest is
-    removed before the first tile is written, so a stopped run leaves none.
+    removed before the first tile is written, so a stopped run leaves none,
+    and after the new one is written every file in ``tiles/`` that it does
+    not name is removed.
     Each of the two passes, tiling and writing, maps one input raster at a time."""
     inputs = {}  # tile-name prefix -> input path, in file-name order
     for name in sorted(p for p in os.listdir(input_dir) if p.endswith(".mcr")):
@@ -468,9 +485,7 @@ def prepare_dataset(input_dir, out_dir, tile, overlap, val_fraction, seed):
                 "val": [names[si][oi] for si, oi in val_ids], "dropped": [names[si][oi] for si, oi in dropped_ids]}
     tiles_dir = os.path.join(out_dir, "tiles")
     os.makedirs(tiles_dir, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "manifest.json"))
-    _sync_dir(out_dir)
+    remove_files(out_dir, ["manifest.json"])
     for si, (ts, path) in enumerate(zip(tilesets, inputs.values())):
         raster = _read_input(path, ts.raster_id)
         for oi in (oi for sj, oi in val_ids if sj == si):
@@ -481,6 +496,9 @@ def prepare_dataset(input_dir, out_dir, tile, overlap, val_fraction, seed):
         del raster  # unmapped before the next input is mapped
     with replace_file(os.path.join(out_dir, "manifest.json")) as f:
         f.write(json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"))
+    named = {f"{name}.mcr" for name in manifest["train"] + manifest["val"]}
+    remove_files(tiles_dir, [e.name for e in os.scandir(tiles_dir)
+                             if e.is_file() and e.name not in named])
     return manifest
 
 
@@ -493,7 +511,7 @@ def load_manifest(prepared_dir):
     try:
         with open(path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise DataError(f"{path}: not JSON: {exc}") from exc
     if not (isinstance(manifest, dict) and all(
             isinstance(manifest.get(split), list) and all(isinstance(n, str) for n in manifest[split])

@@ -24,13 +24,14 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .config import RunConfig
-from .data import replace_file
+from .data import remove_files, replace_file
 from .errors import ConfigurationError, DataError, NumericalError, OrthosegError
 from .network import Model, NoiseRates
 
 PHASE_INITIAL = "initial"
 PHASE_FINE_TUNING = "fine_tuning"
 _UNFREEZE_AT = {1: 2, 2: 1}  # fine-tuning plateau number -> primary block it unfreezes
+_CHECKPOINTS = ("latest.ckpt", "best.ckpt", "final.ckpt", "diagnostic.ckpt")  # in a run's out_dir
 
 
 @dataclass
@@ -310,7 +311,9 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
     Returns the final TrainState.  Adds one row per evaluation to
     ``state.log`` and writes ``out_dir/metrics.csv`` from it, at the start
     and after each evaluation; checkpoints on every new validation best of
-    the log and every ``checkpoint_interval`` iterations.
+    the log and every ``checkpoint_interval`` iterations.  A fresh run
+    (``state`` None) first removes the checkpoints an earlier run left in
+    ``out_dir``.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -318,6 +321,7 @@ def train_loop(run_cfg, model, train_samples, val_samples, out_dir,
         raise DataError("validation set required for plateau scheduling")
     os.makedirs(out_dir, exist_ok=True)
     if state is None:
+        remove_files(out_dir, _CHECKPOINTS)
         state = init_state(model, run_cfg)
     # a resumed state's arrays are views of the mapped checkpoint; arrays of
     # their own let that file go once the run writes over it

@@ -3,6 +3,8 @@ copy-on-write loads, rejected versions and digest gating; and failed writes
 of every file writer."""
 
 import hashlib
+import json
+import math
 import os
 import stat
 import struct
@@ -30,7 +32,7 @@ def sample_tensors():
 
 def test_round_trip_values_and_order(tmp_path):
     path = str(tmp_path / "t.ckpt")
-    header = {"iteration": 3, "note": "x"}
+    header = {"iteration": 3, "note": "x", "tensors": [1]}  # a key of the outer object
     tensors = sample_tensors()
     ckpt.save_checkpoint(path, header, tensors)
     h2, t2 = ckpt.load_checkpoint(path)
@@ -51,15 +53,17 @@ def test_save_load_save_bytewise(tmp_path):
 
 def test_header_layout(tmp_path):
     path = str(tmp_path / "t.ckpt")
-    ckpt.save_checkpoint(path, {"b": 2, "a": 1}, {})
+    w, s = np.arange(6, dtype=np.float32).reshape(2, 3), np.array([0.5])
+    ckpt.save_checkpoint(path, {"b": 2, "a": 1}, {"w": w, "s": s})
     raw = Path(path).read_bytes()
     assert raw[:4] == b"OSCK"
-    (version,) = struct.unpack("<I", raw[4:8])
-    assert version == 2
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    assert raw[12:12 + hlen] == b'{"a": 1, "b": 2}'  # sorted keys
-    (count,) = struct.unpack("<I", raw[12 + hlen:16 + hlen])
-    assert count == 0
+    version, length = struct.unpack("<II", raw[4:12])
+    assert version == 3
+    assert raw[12:12 + length] == (b'{"header": {"a": 1, "b": 2}, '  # sorted keys
+                                   b'"tensors": [["w", "<f4", [2, 3]], ["s", "<f8", [1]]]}')
+    first, second = payload_offsets(raw)
+    assert first == 128 and second == 192  # 12 + 80 bytes of JSON, then 24 of w
+    assert raw[first:first + 24] == w.tobytes() and raw[second:] == s.astype("<f8").tobytes()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -88,52 +92,81 @@ def test_every_truncation_raises_data_error(tmp_path):
             ckpt.load_checkpoint(path)
 
 
-def raw_checkpoint(header_blob, records=b"", count=0, version=2):
-    """Container bytes around an arbitrary header blob and record bytes,
-    zero-padded to a multiple of 64 bytes, as before a payload that follows
-    the records."""
-    raw = (b"OSCK" + struct.pack("<II", version, len(header_blob)) + header_blob
-           + struct.pack("<I", count) + records)
-    return raw + bytes(-len(raw) % 64)
+def raw_checkpoint(blob, payload=b"", version=3):
+    """Container bytes around an arbitrary JSON blob, zero-padded to a
+    multiple of 64 bytes as before a first payload, then ``payload``."""
+    raw = b"OSCK" + struct.pack("<II", version, len(blob)) + blob
+    return raw + bytes(-len(raw) % 64) + payload
 
 
-@pytest.mark.parametrize("blob,records,count,match", [
-    (b"\xff\xfe", b"", 0, "malformed header"),
-    (b"{not json", b"", 0, "malformed header"),
-    (b"[1, 2]", b"", 0, "not a JSON object"),
-    (b"{}", struct.pack("<H", 2) + b"\xff\xfe", 1, "not UTF-8"),
-    (b"{}", struct.pack("<H", 1) + b"w" + struct.pack("BB", 9, 1), 1, "dtype code"),
-    (b"{}", struct.pack("<H", 1) + b"w" + struct.pack("BB", 1, 200), 1, "rank"),
+def table(*entries):
+    """The JSON blob of an empty header and the tensor table ``entries``."""
+    return json.dumps({"header": {}, "tensors": entries}).encode("utf-8")
+
+
+TABLE = "is not \\[name, dtype, extents\\]"
+
+
+@pytest.mark.parametrize("blob,match", [
+    pytest.param(b"\xff\xfe", "malformed header", id="not-utf8"),
+    pytest.param(b'{"header": {}, "tensors": [["\xff", "<f4", [0]]]}', "malformed header",
+                 id="name-not-utf8"),
+    pytest.param(b"{not json", "malformed header", id="not-json"),
+    pytest.param(b"[" * 100_000, "malformed header", id="nested-too-deep"),
+    pytest.param(b"[1, 2]", "not a JSON object", id="not-an-object"),
+    pytest.param(b'{"header": {}}', "not a JSON object", id="no-table"),
+    pytest.param(b'{"header": {}, "tensors": [], "x": 1}', "not a JSON object", id="extra-key"),
+    pytest.param(b'{"header": [], "tensors": []}', "not a JSON object", id="header-not-object"),
+    pytest.param(b'{"header": {}, "tensors": {}}', "not a JSON object", id="table-not-list"),
+    pytest.param(table({"w": 1}), TABLE, id="entry-not-list"),
+    pytest.param(table(["w", "<f4"]), TABLE, id="entry-too-short"),
+    pytest.param(table([7, "<f4", [1]]), TABLE, id="name-not-string"),
+    pytest.param(table(["w", "<f4", 3]), TABLE, id="extents-not-list"),
+    pytest.param(table(["w", "<i4", [1]]), "unknown dtype for w", id="dtype"),
+    pytest.param(table(["w", ["<f4"], [1]]), "unknown dtype for w", id="dtype-not-string"),
+    pytest.param(table(["w", "<f4", [1] * 33]), "rank 33 of w exceeds 32", id="rank"),
+    pytest.param(table(["w", "<f4", [-1]]), "extents of w", id="negative-extent"),
+    pytest.param(table(["w", "<f4", [True]]), "extents of w", id="bool-extent"),
+    pytest.param(table(["w", "<f4", [1.0]]), "extents of w", id="float-extent"),
+    pytest.param(table(["w", "<f4", [0]], ["w", "<f8", [0]]), "duplicate tensor name w",
+                 id="duplicate-name"),
 ])
-def test_malformed_container_raises_data_error(tmp_path, blob, records, count, match):
+def test_malformed_container_raises_data_error(tmp_path, blob, match):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(raw_checkpoint(blob, records, count))
+    path.write_bytes(raw_checkpoint(blob))
     with pytest.raises(DataError, match=match):
         ckpt.load_checkpoint(str(path))
+
+
+def test_rank_32_loads(tmp_path):
+    path = tmp_path / "rank32.ckpt"
+    path.write_bytes(raw_checkpoint(table(["w", "<f4", [1] * 32]), b"\0\0\x80\x3f"))
+    _, tensors = ckpt.load_checkpoint(str(path))
+    assert tensors["w"].shape == (1,) * 32 and tensors["w"].item() == 1.0
 
 
 def test_zero_size_extents_beyond_numpy_rejected(tmp_path):
     # zero bytes of payload, but more elements than numpy can index
     path = tmp_path / "zero.ckpt"
-    record = struct.pack("<H", 1) + b"w" + struct.pack("<BB4I", 1, 4, 0, *[2**32 - 1] * 3)
-    path.write_bytes(raw_checkpoint(b"{}", record, 1))
-    with pytest.raises(DataError, match="unsupported extents"):
-        ckpt.load_checkpoint(str(path))
+    for extents in ([0, 2**32 - 1, 2**32 - 1, 2**32 - 1], [0, 10**30]):
+        path.write_bytes(raw_checkpoint(table(["w", "<f4", extents])))
+        with pytest.raises(DataError, match="unsupported extents"):
+            ckpt.load_checkpoint(str(path))
 
 
 def test_oversized_extent_rejected_before_allocating(tmp_path):
     path = tmp_path / "huge.ckpt"
-    record = struct.pack("<H", 1) + b"w" + struct.pack("<BBII", 1, 2, 60000, 60000)
-    path.write_bytes(raw_checkpoint(b"{}", record, 1))
-    assert path.stat().st_size == 64
-    tracemalloc.start()
-    try:
-        with pytest.raises(DataError, match="truncated payload"):
-            ckpt.load_checkpoint(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for extents in ([60000, 60000], [10**30]):
+        path.write_bytes(raw_checkpoint(table(["w", "<f4", extents])))
+        assert path.stat().st_size == 128
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated payload"):
+                ckpt.load_checkpoint(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class Exploding:
@@ -188,20 +221,16 @@ def test_check_digest_without_digest_string_is_data_error(header):
 
 
 def payload_offsets(raw):
-    """File offset of every payload, walked from the layout alone."""
-    (hlen,) = struct.unpack_from("<I", raw, 8)
-    (count,) = struct.unpack_from("<I", raw, 12 + hlen)
-    pos, offsets = 16 + hlen, []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        code, rank = struct.unpack_from("BB", raw, pos + 2 + nlen)
-        shape = struct.unpack_from(f"<{rank}I", raw, pos + 4 + nlen)
-        pos += 4 + nlen + 4 * rank
+    """File offset of every payload, walked from the layout alone: the JSON
+    table, then each payload after the zero padding to a multiple of 64."""
+    (length,) = struct.unpack_from("<I", raw, 8)
+    pos, offsets = 12 + length, []
+    for _, dtype, shape in json.loads(raw[12:pos])["tensors"]:
         padding = -pos % 64
         assert raw[pos:pos + padding] == bytes(padding)
         pos += padding
         offsets.append(pos)
-        pos += int(np.prod(shape)) * (8 if code == 2 else 4)
+        pos += math.prod(shape) * np.dtype(dtype).itemsize
     assert pos == len(raw)
     return offsets
 
@@ -256,10 +285,10 @@ def test_save_over_loaded_path_keeps_loaded_values(tmp_path):
 
 
 def test_unknown_version_rejected(tmp_path):
-    # version 1, whose payloads were not padded, no longer loads either
-    for version in (1, 3):
+    # versions 1 (unpadded payloads) and 2 (a binary record table) no longer load
+    for version in (1, 2, 4):
         path = tmp_path / f"v{version}.ckpt"
-        path.write_bytes(raw_checkpoint(b"{}", version=version))
+        path.write_bytes(raw_checkpoint(table(), version=version))
         with pytest.raises(DataError, match=f"unsupported format version {version}"):
             ckpt.load_checkpoint(str(path))
 

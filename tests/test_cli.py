@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,39 @@ def test_stopped_reprepare_leaves_no_manifest(tmp_path, monkeypatch):
         data.load_manifest(prep)
 
 
+def test_reprepare_removes_tiles_the_manifest_does_not_name(tmp_path):
+    """A ``--tile 32`` prepare over a ``--tile 64`` dataset of two 128² rasters
+    leaves the 120 tiles its manifest names and none of the 46 old ones."""
+    raw, prep = str(tmp_path / "raw"), tmp_path / "prep"
+    assert run(["synth", "--out", raw, "--count", "2", "--size", "128", "--seed", "3"]) == 0
+    argv = ["prepare", "--input", raw, "--out", str(prep)]
+    assert run([*argv, "--tile", "64"]) == 0
+    assert run([*argv, "--tile", "32"]) == 0
+    manifest = data.load_manifest(str(prep))
+    named = sorted(f"{name}.mcr" for name in manifest["train"] + manifest["val"])
+    assert len(named) == 120
+    assert sorted(os.listdir(prep / "tiles")) == named
+
+
+def nonfinite_raster(path, value):
+    """A 32² synth raster whose DSM pixel (3,5) is ``value``, written to ``path``."""
+    raster = data.synth_dataset(1, 32, seed=2)[0]
+    raster.channels["DSM"][3, 5] = value
+    data.write_mcr(str(path), raster)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_prepare_rejects_non_finite_dsm(tmp_path, capsys, value):
+    (tmp_path / "raw").mkdir()
+    nonfinite_raster(tmp_path / "raw" / "scene.mcr", value)
+    code = run(["prepare", "--input", str(tmp_path / "raw"), "--out", str(tmp_path / "prep"),
+                "--tile", "16"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "kind=DataError" in err and f"DSM pixel (3,5) is {value}, not finite" in err
+    assert not (tmp_path / "prep" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv, detail", [
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--size", "0"], "raster size must be >= 1, got 0"),
@@ -348,6 +382,37 @@ def test_version_1_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
     assert "unsupported format version 1" in err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_infer_rejects_non_finite_dsm(pipeline, tmp_path, capsys, value):
+    image = tmp_path / "scene.mcr"
+    nonfinite_raster(image, value)
+    code = run(["infer", "--ckpt", os.path.join(pipeline["runout"], "final.ckpt"),
+                "--image", str(image), "--out", str(tmp_path / "p")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "kind=DataError" in err and f"DSM pixel (3,5) is {value}, not finite" in err
+    assert os.listdir(tmp_path) == ["scene.mcr"]
+
+
+def test_format_2_checkpoint_exits_data_code(pipeline, tmp_path, capsys):
+    """A checkpoint in the retired format 2, whose tensor table was binary
+    records after the header JSON."""
+    header, tensors = checkpoint.load_checkpoint(os.path.join(pipeline["runout"], "final.ckpt"))
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    raw = b"OSCK" + struct.pack("<II", 2, len(blob)) + blob + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        raw += (struct.pack("<H", len(name.encode("utf-8"))) + name.encode("utf-8")
+                + struct.pack(f"<BB{arr.ndim}I", arr.itemsize // 4, arr.ndim, *arr.shape))
+        raw += bytes(-len(raw) % 64) + arr.tobytes()
+    ckpt = tmp_path / "v2.ckpt"
+    ckpt.write_bytes(raw)
+    code = run(["infer", "--ckpt", str(ckpt), "--image", "/nonexistent.mcr",
+                "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "kind=DataError" in (err := capsys.readouterr().err)
+    assert "unsupported format version 2" in err
+
+
 def test_params_only_checkpoint_infers_but_cannot_resume(pipeline, tmp_path, capsys):
     full = os.path.join(pipeline["runout"], "final.ckpt")
     header, tensors = checkpoint.load_checkpoint(full)
@@ -448,8 +513,9 @@ def test_zero_interval_exits_config_code(pipeline, tmp_path, capsys, key):
     ('{"train": [1], "val": []}', "manifest.json: needs a JSON object"),
     ('{"train": [], "val": []}', "empty training set"),
     ('{"train": ["TILE"], "val": []}', "validation set required"),
+    ("[" * 100_000, "manifest.json: not JSON"),
 ], ids=["invalid-json", "empty-object", "list", "train-not-list", "name-not-string",
-        "empty-train", "empty-val"])
+        "empty-train", "empty-val", "nested-too-deep"])
 def test_malformed_manifest_exits_data_code(pipeline, tmp_path, capsys, manifest, detail):
     prep = tmp_path / "prep"
     (prep / "tiles").mkdir(parents=True)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,13 @@ class TestAssemble:
         assert primary.shape == (3, 32, 32) and auxiliary.shape == (3, 32, 32)
         assert label.shape == (64, 64) and label_half.shape == (32, 32)
         assert primary.dtype == np.float32
+
+    def test_label_half_is_a_contiguous_copy(self):
+        tile = make_raster(8, 8, seed=9)
+        _, _, label, label_half = data.assemble_inputs(tile)
+        assert label_half.dtype == np.int64 and label_half.base is None
+        assert label_half.flags.c_contiguous
+        np.testing.assert_array_equal(label_half, label[::2, ::2])
 
     def test_constant_channels_stay_constant(self):
         channels = {r: np.full((8, 8), 100, dtype=np.uint8) for r in ("IR", "R", "G", "B")}
@@ -307,6 +315,15 @@ class TestMcr:
         with pytest.raises(DataError, match="truncated plane DSM"):
             data.read_mcr(path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_plane_rejected(self, tmp_path, value):
+        r = make_raster(4, 5, seed=18)
+        r.channels["DSM"][2, 1] = r.channels["DSM"][3, 0] = value
+        path = tmp_path / "bad.mcr"
+        data.write_mcr(path, r)
+        with pytest.raises(DataError, match=rf"bad.mcr: DSM pixel \(2,1\) is {value}, not finite"):
+            data.read_mcr(path)
+
     @pytest.mark.parametrize("channels, h, w, match", [
         ((), 2, 3, "empty raster: 0 channels of 2x3"),
         (("IR", "IR"), 2, 3, "channel IR repeated"),
@@ -388,6 +405,27 @@ def test_write_over_read_path_keeps_read_values(tmp_path):
         assert np.array_equal(planes[role], plane), role
     assert np.array_equal(pixels, rgb)
     assert not np.array_equal(data.read_ppm(ppm), rgb)
+
+
+def test_load_samples_retains_only_the_samples(tmp_path):
+    """Each loaded sample holds its inputs and half-resolution label, not the
+    full-resolution label that ``assemble_inputs`` also returns (8 KB per
+    32² tile), nor its mapped tile."""
+    raw, prep = tmp_path / "raw", str(tmp_path / "prep")
+    raw.mkdir()
+    for raster in data.synth_dataset(2, 64, seed=0):
+        data.write_mcr(raw / f"{raster.raster_id}.mcr", raster)
+    manifest = data.prepare_dataset(str(raw), prep, 32, 0.0, 0.25, 0)
+    names = manifest["train"] + manifest["val"]
+    tracemalloc.start()
+    try:
+        samples = data.load_samples(prep, names)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for sample in samples for a in sample)
+    assert arrays == len(names) * (2 * 3 * 16 * 16 * 4 + 16 * 16 * 8)
+    assert retained < arrays + 1024 * len(names)
 
 
 def nearest_centroid_accuracy(raster):

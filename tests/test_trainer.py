@@ -530,7 +530,8 @@ def test_cli_resume_into_new_out_writes_the_whole_log(desk_cli_run, tmp_path):
 
 def test_fresh_run_into_used_out_keeps_only_its_own_rows(desk_cli_run, tmp_path):
     """A 4-iteration run without ``--resume`` into a copy of the 12-iteration
-    run's directory logs the evaluations at 2 and 4 alone."""
+    run's directory logs the evaluations at 2 and 4 alone, and leaves only
+    its own checkpoints."""
     cfg_path, run = desk_cli_run
     out = tmp_path / "used"
     shutil.copytree(run, out)
@@ -539,3 +540,9 @@ def test_fresh_run_into_used_out_keeps_only_its_own_rows(desk_cli_run, tmp_path)
     assert cli.main(["train", "--config", short, "--out", str(out)]) == 0
     assert (out / "metrics.csv").read_text().splitlines() == \
         (run / "metrics.csv").read_text().splitlines()[:3]
+    # the old run's latest.ckpt (iteration 10) is gone; the new run wrote no latest
+    assert sorted(os.listdir(out)) == ["best.ckpt", "final.ckpt", "metrics.csv"]
+    digest = RunConfig.load(short).digest()
+    for name in ("best.ckpt", "final.ckpt"):
+        header, _ = checkpoint.load_checkpoint(str(out / name))
+        assert header["iteration"] <= 4 and header["config_digest"] == digest
